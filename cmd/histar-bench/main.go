@@ -207,14 +207,12 @@ type WriteAmpReport struct {
 // SegCleanerReport is the segment-cleaner section: how many append-only
 // data segments the workload opened, and how many the cleaner copied out
 // (live objects relocated, segment freed) or freed outright (no live
-// objects left).  CRCBackfills counts legacy extents that gained a
-// contents CRC during checkpoint, the migration path for v2 images.
+// objects left).
 type SegCleanerReport struct {
 	SegsAllocated uint64 `json:"segs_allocated"`
 	SegsCleaned   uint64 `json:"segs_cleaned"`
 	SegsFreed     uint64 `json:"segs_freed"`
 	BytesCleaned  uint64 `json:"bytes_cleaned"`
-	CRCBackfills  uint64 `json:"crc_backfills"`
 }
 
 type TaintScanReport struct {
@@ -692,7 +690,6 @@ func segmentCleanerRun(r *Report) {
 		SegsCleaned:   ss.SegsCleaned,
 		SegsFreed:     ss.SegsFreed,
 		BytesCleaned:  ss.BytesCleaned,
-		CRCBackfills:  ss.CRCBackfills,
 	}
 }
 
@@ -972,9 +969,9 @@ func printReport(r *Report) {
 		r.Stall.SealStallMax, r.Stall.SealStallTotal)
 	fmt.Printf("Write amplification: %.2fx (home %d + cleaned %d + meta %d bytes over home)\n",
 		r.WriteAmp.Ratio, r.WriteAmp.BytesHome, r.WriteAmp.BytesCleaned, r.WriteAmp.MetaBytesWritten)
-	fmt.Printf("Segment cleaner: %d segments allocated, %d copied out, %d freed (%d bytes relocated); %d CRC backfills\n",
+	fmt.Printf("Segment cleaner: %d segments allocated, %d copied out, %d freed (%d bytes relocated)\n",
 		r.SegCleaner.SegsAllocated, r.SegCleaner.SegsCleaned, r.SegCleaner.SegsFreed,
-		r.SegCleaner.BytesCleaned, r.SegCleaner.CRCBackfills)
+		r.SegCleaner.BytesCleaned)
 	fmt.Printf("Web service (wall clock, %d users, %d clients): per-request login %.0f req/s (p99 %.0fus) vs session-cached mixed %.0f req/s (p99 %.0fus, %.1fx) vs warm %.0f req/s (p99 %.0fus, %.1fx)\n",
 		r.Web.Mixed.Users, r.Web.Mixed.Concurrency,
 		r.Web.Baseline.RPS, r.Web.Baseline.P99Micros,

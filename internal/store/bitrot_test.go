@@ -33,7 +33,7 @@ const (
 // rotStore formats a store on a FaultDisk-wrapped 8 MB device.  Small
 // segments put the checkpointed objects into the log-structured region, so
 // the ladder's object-extent rungs exercise rot inside sealed segments.
-func rotStore(t *testing.T) (*Store, *disk.FaultDisk) {
+func rotStore(t testing.TB) (*Store, *disk.FaultDisk) {
 	t.Helper()
 	base := disk.New(disk.Params{Sectors: 1 << 14, WriteCache: true}, &vclock.Clock{})
 	fd := disk.NewFaultDisk(base)
@@ -50,11 +50,11 @@ func rotLabel(cat uint64) label.Label {
 
 // populateGenerations drives the store through the full lifecycle the
 // fallback ladder depends on: a first checkpointed generation, a second
-// generation synced then checkpointed (retained behind the log's rotation
+// generation synced then checkpointed (retained behind the log's seal
 // marker), and a tail of syncs in the current log generation.  Every
 // mutation is synced, so recovery on any rung must reproduce the returned
 // contents exactly.
-func populateGenerations(t *testing.T, s *Store) map[uint64]string {
+func populateGenerations(t testing.TB, s *Store) map[uint64]string {
 	t.Helper()
 	want := make(map[uint64]string)
 	put := func(id uint64, v string) {
@@ -97,7 +97,7 @@ func checkAll(t *testing.T, s *Store, want map[uint64]string) {
 }
 
 // metaPayloadLen reads the payload length out of a metadata area header.
-func metaPayloadLen(t *testing.T, d disk.Device, areaOff int64) int64 {
+func metaPayloadLen(t testing.TB, d disk.Device, areaOff int64) int64 {
 	t.Helper()
 	hdr := make([]byte, metaHeaderSize)
 	if _, err := d.ReadAt(hdr, areaOff); err != nil {
@@ -209,6 +209,33 @@ func TestBitRotBothSuperblockCopiesRefused(t *testing.T) {
 	}
 	if _, err := Open(fd, Options{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("open with both superblock copies rotted = %v; want ErrCorrupt", err)
+	}
+
+	// A copy whose version/epoch/CRC tail (bytes 40-63) reads zero is
+	// damage like any other and fails its CRC: with the primary zeroed the
+	// backup serves, and with both zeroed the mount is refused.
+	s, fd = rotStore(t)
+	want := populateGenerations(t, s)
+	zeroTail := func(copyOff int64) {
+		t.Helper()
+		if _, err := fd.WriteAt(make([]byte, sbCopySize-sbVersionOff), copyOff+sbVersionOff); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zeroTail(superblockOffset)
+	s2, err := Open(fd, Options{})
+	if err != nil {
+		t.Fatalf("open with the primary tail zeroed: %v", err)
+	}
+	if !s2.RecoveryReport().SuperblockFallback {
+		t.Fatalf("expected superblock fallback, got %+v", s2.RecoveryReport())
+	}
+	checkAll(t, s2, want)
+	zeroTail(superblockOffset + sbBackupOff)
+	_, err = Open(fd, Options{})
+	var ce *CorruptError
+	if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) || ce.Offset != superblockOffset+sbCRCOff {
+		t.Fatalf("open with both tails zeroed = %v; want ErrCorrupt from the primary's CRC check", err)
 	}
 }
 
@@ -439,8 +466,8 @@ func TestScrubCleanStoreFindsNothing(t *testing.T) {
 	if st.MetaAreasChecked != 2 || st.MetaAreasOK != 2 {
 		t.Fatalf("meta areas checked/OK = %d/%d, want 2/2", st.MetaAreasChecked, st.MetaAreasOK)
 	}
-	if st.ObjectsChecked != len(want) || st.ObjectsUnverifiable != 0 {
-		t.Fatalf("objects checked = %d (unverifiable %d), want %d", st.ObjectsChecked, st.ObjectsUnverifiable, len(want))
+	if st.ObjectsChecked != len(want) {
+		t.Fatalf("objects checked = %d, want %d", st.ObjectsChecked, len(want))
 	}
 	if st.BytesVerified == 0 {
 		t.Fatal("scrub verified zero bytes")
@@ -496,128 +523,5 @@ func TestScrubDetectsRotAndQuarantines(t *testing.T) {
 		if got, err := s2.Get(id); err != nil || string(got) != v {
 			t.Fatalf("bystander %d = %q, %v", id, got, err)
 		}
-	}
-}
-
-// TestLegacyImageOpensAndUpgradesTransparently hand-crafts a pre-checksum
-// (version-0) on-disk image — single-copy superblock, flat unsectioned
-// metadata, version-2 log header — and proves it mounts read-correct,
-// reports itself unverifiable to the scrubber, and is transparently
-// rewritten in the current checksummed format by the next checkpoint.
-func TestLegacyImageOpensAndUpgradesTransparently(t *testing.T) {
-	d := disk.New(disk.Params{Sectors: 1 << 14, WriteCache: true}, &vclock.Clock{})
-	const (
-		logSize  = int64(rotLogSize)
-		metaSize = int64(rotMetaSize)
-		legacyID = uint64(7)
-	)
-	dataStart := logOffset + logSize + 2*metaSize
-	contents := []byte("legacy object contents")
-	lbl := rotLabel(3)
-
-	// Flat legacy metadata: (id, off, size) triples, free list, labels,
-	// fingerprint index — no header, no checksums.
-	var meta []byte
-	meta = appendU64(meta, 1)
-	meta = appendU64(meta, legacyID)
-	meta = appendU64(meta, uint64(dataStart))
-	meta = appendU64(meta, uint64(len(contents)))
-	meta = appendU64(meta, 1)
-	meta = appendU64(meta, uint64(dataStart+extentAlign))
-	meta = appendU64(meta, uint64(d.Size()-(dataStart+extentAlign)))
-	meta = appendU64(meta, 1)
-	meta = appendU64(meta, legacyID)
-	meta = lbl.AppendBinary(meta)
-	meta = appendU64(meta, 1)
-	meta = appendU64(meta, uint64(lbl.Fingerprint()))
-	meta = appendU64(meta, legacyID)
-
-	// Legacy superblock: five fields, zero tail, no backup copy.
-	sb := make([]byte, superblockSize)
-	binary.LittleEndian.PutUint64(sb[0:], superMagic)
-	binary.LittleEndian.PutUint64(sb[8:], 0)
-	binary.LittleEndian.PutUint64(sb[16:], uint64(len(meta)))
-	binary.LittleEndian.PutUint64(sb[24:], uint64(logSize))
-	binary.LittleEndian.PutUint64(sb[32:], uint64(metaSize))
-
-	// Version-2 log header: sealed empty, pre-checksum format.
-	walHdr := make([]byte, 16)
-	binary.LittleEndian.PutUint32(walHdr[0:], 0x48574c4f) // "HWLO"
-	walHdr[4] = 2
-
-	for _, w := range []struct {
-		off int64
-		b   []byte
-	}{{0, sb}, {logOffset, walHdr}, {logOffset + logSize, meta}, {dataStart, contents}} {
-		if _, err := d.WriteAt(w.b, w.off); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := Open(d, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.RecoveryReport().LegacyImage {
-		t.Fatalf("legacy image not recognized: %+v", s.RecoveryReport())
-	}
-	if got, err := s.Get(legacyID); err != nil || string(got) != string(contents) {
-		t.Fatalf("legacy object = %q, %v", got, err)
-	}
-	if got, ok := s.Label(legacyID); !ok || !got.Equal(lbl) {
-		t.Fatalf("legacy label = %v, %v", got, ok)
-	}
-	st, err := s.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SuperblockCopiesOK != 1 || st.ObjectsUnverifiable != 1 || st.CorruptionsFound != 0 {
-		t.Fatalf("scrub of legacy image: %+v", st)
-	}
-
-	// The upgrade: one checkpoint rewrites the superblock (now dual-copy)
-	// and metadata (now checksummed and sectioned) — and its CRC-backfill
-	// pass reads and checksums the clean migrated extent, so the image
-	// converges to fully verifiable without the object ever being dirtied.
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = s.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SuperblockCopiesOK != 2 || st.MetaAreasOK != 1 || st.ObjectsUnverifiable != 0 || st.ObjectsChecked != 1 {
-		t.Fatalf("scrub after upgrade checkpoint: %+v", st)
-	}
-	s2, err := Open(d, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.RecoveryReport().LegacyImage || s2.RecoveryReport().Degraded() {
-		t.Fatalf("upgraded image still legacy/degraded: %+v", s2.RecoveryReport())
-	}
-	if got, err := s2.Get(legacyID); err != nil || string(got) != string(contents) {
-		t.Fatalf("object after upgrade = %q, %v", got, err)
-	}
-	if got, ok := s2.Label(legacyID); !ok || !got.Equal(lbl) {
-		t.Fatalf("label after upgrade = %v, %v", got, ok)
-	}
-	// Rewriting the object relocates it with a recorded contents CRC; from
-	// then on every read and scrub verifies it.
-	if err := s2.PutLabeled(legacyID, lbl, contents); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = s2.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ObjectsChecked != 1 || st.ObjectsUnverifiable != 0 || st.CorruptionsFound != 0 {
-		t.Fatalf("scrub after object rewrite: %+v", st)
 	}
 }

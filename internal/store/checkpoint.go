@@ -33,11 +33,11 @@ func crc32c(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 //	        after the marker, so replay boundaries equal seal boundaries.
 //	BODY    (no store-wide lock; serialized by ckptRun): vacate deleted
 //	        objects' extents, stream the sealed contents into append-only
-//	        segments (dedicated extents for oversized objects), backfill
-//	        missing contents CRCs, run the segment cleaner, return deferred
-//	        frees to the allocator, serialize the metadata sections against
-//	        the sealed epoch, and flip the superblock.  Reads, writes, and
-//	        SyncObject group commits all proceed concurrently.
+//	        segments (dedicated extents for oversized objects), run the
+//	        segment cleaner, return deferred frees to the allocator,
+//	        serialize the metadata sections against the sealed epoch, and
+//	        flip the superblock.  Reads, writes, and SyncObject group
+//	        commits all proceed concurrently.
 //	FINISH  reclaim log generations older than the previous snapshot's seal
 //	        marker (kept for the metadata-fallback ladder rung) and publish
 //	        completion.
@@ -152,11 +152,11 @@ func (s *Store) sealCheckpoint() (*sealedState, error) {
 			}
 			switch {
 			case e.dead:
-				if _, ok := s.objMap.Get(btree.K1(id)); ok {
+				if _, ok := s.objMap.Get(btree.K1(id)); ok || s.mapAhead {
 					// The home extent must be vacated by the body; the entry
 					// stays in the shard (keeping the deletion visible to
 					// concurrent Gets) until a later seal finds the map entry
-					// gone and prunes it below.
+					// gone from a committed snapshot and prunes it below.
 					ss.entries = append(ss.entries, sealedEntry{id: id, e: e, dead: true})
 				} else {
 					delete(sh.objs, id)
@@ -193,7 +193,10 @@ func (s *Store) sealCheckpoint() (*sealedState, error) {
 		if floor := s.bundleRetentionFloor(ss.epoch); floor < cut {
 			cut = floor
 		}
-		_ = s.l.ReclaimBefore(cut)
+		if err := s.l.ReclaimBefore(cut); err != nil {
+			s.restoreSealed(ss)
+			return nil, err
+		}
 		if err := s.l.AppendMark(ss.epoch); err != nil {
 			if !errors.Is(err, wal.ErrFull) {
 				s.restoreSealed(ss)
@@ -233,10 +236,10 @@ func (s *Store) checkpointBody(ss *sealedState) (err error) {
 			s.restoreSealed(ss)
 		}
 	}()
+	s.mapAhead = true
 	if err := s.relocateSealed(ss); err != nil {
 		return err
 	}
-	s.backfillCRCs()
 	if err := s.cleanSegments(); err != nil {
 		return err
 	}
@@ -251,6 +254,7 @@ func (s *Store) checkpointBody(ss *sealedState) (err error) {
 	if err := s.writeSnapshot(ss.epoch, ss.labels); err != nil {
 		return err
 	}
+	s.mapAhead = false
 	// FINISH: log retention.  The generation before the PREVIOUS snapshot's
 	// seal marker can no longer serve any replay; the previous generation
 	// itself is retained so that, should the snapshot written above rot on
@@ -367,47 +371,6 @@ func (s *Store) writeObjectHome(data []byte) (int64, error) {
 	return ext.off, nil
 }
 
-// backfillCRCs computes contents checksums for mapped extents that have
-// none — objects migrated from legacy pre-CRC images — so a migrated image
-// converges to ObjectsUnverifiable == 0 at its first checkpoint instead of
-// staying unverifiable until every object happens to be dirtied.  The
-// extent bytes ARE the authoritative sealed contents for any object not
-// sealed this epoch, so checksumming them in place is exact; an unreadable
-// extent is simply left unverifiable for scrub to report.
-func (s *Store) backfillCRCs() {
-	type target struct {
-		id   uint64
-		off  int64
-		size int64
-	}
-	var targets []target
-	s.metaMu.RLock()
-	s.objMap.Scan(func(k btree.Key, v uint64) bool {
-		if _, ok := s.objCRCs[k[0]]; !ok {
-			targets = append(targets, target{id: k[0], off: int64(v), size: s.objSizes[k[0]]})
-		}
-		return true
-	})
-	s.metaMu.RUnlock()
-	for _, t := range targets {
-		buf := make([]byte, t.size)
-		if t.size > 0 {
-			if _, err := s.d.ReadAt(buf, t.off); err != nil {
-				continue
-			}
-		}
-		crc := crc32c(buf)
-		s.metaMu.Lock()
-		if off, ok := s.objMap.Get(btree.K1(t.id)); ok && int64(off) == t.off {
-			if _, has := s.objCRCs[t.id]; !has {
-				s.objCRCs[t.id] = crc
-				s.c.crcBackfills.Add(1)
-			}
-		}
-		s.metaMu.Unlock()
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Extent allocation.
 // ---------------------------------------------------------------------------
@@ -489,16 +452,16 @@ func (s *Store) removeFreeLocked(e extent) {
 // ckptRun) or during single-threaded construction (Format); the decode side
 // runs only in single-threaded Open.
 //
-// Since format version 2, the superblock page holds two identical 64-byte
-// checksummed copies (primary at offset 0, backup at offset 512, each in
-// its own sector), and every metadata area starts with a checksummed,
-// epoch-stamped header followed by per-section CRCs — see the package
-// comment for the exact layouts and the fallback rules readSuperblock and
-// loadMetadata apply when a check fails.
+// The superblock page holds two identical 64-byte checksummed copies
+// (primary at offset 0, backup at offset 512, each in its own sector), and
+// every metadata area starts with a checksummed, epoch-stamped header
+// followed by per-section CRCs — see the package comment for the exact
+// layouts and the fallback rules readSuperblock and loadMetadata apply when
+// a check fails.  Superblock version 2 and metadata version 4 are the only
+// formats; any other version is refused as corruption.
 
 // superblock field offsets within one 64-byte copy (little-endian u64s
-// unless noted).  Version-0 (legacy) images carried only the first five
-// fields zero-padded to the 4096-byte page, with no backup copy.
+// unless noted).
 const (
 	sbCopySize   = 64
 	sbBackupOff  = 512 // second copy sits in its own sector
@@ -530,13 +493,9 @@ const (
 	// Section tags.  Each section is [tag u64][len u64][crc u64: low 32
 	// bits CRC32C of the payload][payload].  The fingerprint index (tag 4)
 	// is the only section whose corruption is non-fatal: it is rebuilt from
-	// the label section.  Version 3 added the segment table (tag 5);
-	// version 4 added the snapshot-bundle table (tag 6: per bundle its
-	// lineage ID and serialized name, capture epoch, and object list — see
-	// bundle.go for the body codec).  Version-2 images (four sections, no
-	// segments — every object in a dedicated extent) and version-3 images
-	// (five sections, no bundles) still verify and load, and the next
-	// checkpoint rewrites them in v4 form.
+	// the label section.  Tag 5 is the segment table and tag 6 the
+	// snapshot-bundle table (per bundle its lineage ID and serialized name,
+	// capture epoch, and object list — see bundle.go for the body codec).
 	secObjMap  = 1
 	secFree    = 2
 	secLabels  = 3
@@ -544,12 +503,10 @@ const (
 	secSegs    = 5
 	secBundles = 6
 	numSecs    = 6
-	numSecsV3  = 5
-	numSecsV2  = 4
 
-	// objCRCValid flags an object-map CRC field as carrying a real
-	// contents checksum; entries migrated from legacy images have 0 here
-	// and read unverified until their next relocation.
+	// objCRCValid is set in every object-map and bundle-object CRC field
+	// above the 32-bit contents checksum; a field without it does not
+	// decode.
 	objCRCValid = uint64(1) << 32
 )
 
@@ -559,7 +516,6 @@ type superblockInfo struct {
 	metaLen  int64
 	logSize  int64
 	metaSize int64
-	version  uint64
 	epoch    uint64
 }
 
@@ -577,9 +533,8 @@ func encodeSuperblockCopy(info superblockInfo) []byte {
 	return b
 }
 
-// parseSuperblockCopy validates one copy at device offset off.  Legacy
-// (pre-checksum) images are recognized by an all-zero version/epoch/CRC
-// tail; anything else must pass the CRC.
+// parseSuperblockCopy validates one copy at device offset off: it must pass
+// its CRC before any field is trusted, then carry the current version.
 func parseSuperblockCopy(b []byte, off int64) (superblockInfo, error) {
 	var info superblockInfo
 	if got := binary.LittleEndian.Uint64(b[sbMagicOff:]); got != superMagic {
@@ -590,36 +545,15 @@ func parseSuperblockCopy(b []byte, off int64) (superblockInfo, error) {
 	info.metaLen = int64(binary.LittleEndian.Uint64(b[sbMetaLenOff:]))
 	info.logSize = int64(binary.LittleEndian.Uint64(b[sbLogSizeOff:]))
 	info.metaSize = int64(binary.LittleEndian.Uint64(b[sbMetaSzOff:]))
-	info.version = binary.LittleEndian.Uint64(b[sbVersionOff:])
 	info.epoch = binary.LittleEndian.Uint64(b[sbEpochOff:])
-	if info.version == 0 {
-		// Legacy image — but only if the whole post-field tail really is
-		// zero; a checksummed copy whose version field rotted to zero still
-		// has a non-zero CRC and must not sneak past verification.
-		for _, c := range b[sbVersionOff:] {
-			if c != 0 {
-				return info, &CorruptError{Area: "superblock", Offset: off + sbVersionOff,
-					Detail: "version field zero but checksum tail non-zero"}
-			}
-		}
-		if info.which != 0 && info.which != 1 {
-			return info, &CorruptError{Area: "superblock", Offset: off + sbWhichOff,
-				Detail: fmt.Sprintf("metadata area selector %d out of range", info.which)}
-		}
-		if info.metaSize == 0 {
-			// Images from before the metadata area size was recorded.
-			info.metaSize = defaultMetaAreaSize
-		}
-		return info, nil
-	}
-	if info.version != superVersion {
-		return info, &CorruptError{Area: "superblock", Offset: off + sbVersionOff,
-			Detail: fmt.Sprintf("unsupported superblock version %d", info.version)}
-	}
 	want := binary.LittleEndian.Uint32(b[sbCRCOff:])
 	if got := crc32c(b[:sbCRCOff]); got != want {
 		return info, &CorruptError{Area: "superblock", Offset: off + sbCRCOff,
 			Detail: fmt.Sprintf("checksum mismatch: got %#x, want %#x", got, want)}
+	}
+	if v := binary.LittleEndian.Uint64(b[sbVersionOff:]); v != superVersion {
+		return info, &CorruptError{Area: "superblock", Offset: off + sbVersionOff,
+			Detail: fmt.Sprintf("unsupported superblock version %d", v)}
 	}
 	if info.which != 0 && info.which != 1 {
 		return info, &CorruptError{Area: "superblock", Offset: off + sbWhichOff,
@@ -653,8 +587,8 @@ func (s *Store) writeSnapshot(epoch uint64, labels []sealedLabel) error {
 	// it: without it, a write-back cache destaging in ascending offset
 	// order could persist the new superblock (offset 0) before the new
 	// metadata area behind it.  The same barrier also orders every data
-	// write of this checkpoint (segments, dedicated extents, CRC-backfill
-	// sources) before the superblock that references them.
+	// write of this checkpoint (segments, dedicated extents) before the
+	// superblock that references them.
 	if err := s.d.Flush(); err != nil {
 		return err
 	}
@@ -700,11 +634,7 @@ func (s *Store) readSuperblock() error {
 		}
 	case perr == nil:
 		sb = primary
-		if backup.version != 0 || primary.version != 0 {
-			// A legacy image legitimately has no backup copy; anything else
-			// means the backup rotted.
-			s.noteCorruption(berr)
-		}
+		s.noteCorruption(berr)
 	case berr == nil:
 		sb = backup
 		s.report.SuperblockFallback = true
@@ -717,7 +647,6 @@ func (s *Store) readSuperblock() error {
 	s.metaSize = sb.metaSize
 	s.metaWhich = sb.which
 	s.metaEpoch = sb.epoch
-	s.report.LegacyImage = sb.version == 0
 	s.report.MetaEpoch = sb.epoch
 	return s.loadMetadata(sb)
 }
@@ -726,9 +655,6 @@ func (s *Store) readSuperblock() error {
 // alternate area (plus the retained write-ahead log generation, which the
 // caller replays) when the referenced one fails verification.
 func (s *Store) loadMetadata(sb superblockInfo) error {
-	if sb.version == 0 {
-		return s.loadLegacyMetadata(sb)
-	}
 	err := s.loadMetaArea(sb.which, sb.epoch)
 	if err == nil {
 		return nil
@@ -753,23 +679,6 @@ func (s *Store) loadMetadata(sb superblockInfo) error {
 	s.report.MetaFallback = true
 	s.metaWhich = alt
 	return nil
-}
-
-// loadLegacyMetadata loads a pre-checksum image; nothing can be verified,
-// so the only ladder available is the old behaviour.  The next checkpoint
-// rewrites everything in v2 form.
-func (s *Store) loadLegacyMetadata(sb superblockInfo) error {
-	if sb.metaLen == 0 {
-		dataStart := logOffset + s.logSize + 2*s.metaSize
-		s.addFree(extent{off: dataStart, size: s.d.Size() - dataStart})
-		return nil
-	}
-	metaOff := logOffset + s.logSize + int64(sb.which)*s.metaSize
-	meta := make([]byte, sb.metaLen)
-	if _, err := s.d.ReadAt(meta, metaOff); err != nil {
-		return err
-	}
-	return s.decodeLegacyMetadata(meta)
 }
 
 // resetLoadedState clears everything a failed metadata decode may have
@@ -859,24 +768,14 @@ func (s *Store) verifyMetaArea(which int) (secs [numSecs + 1][]byte, epoch uint6
 			Detail: fmt.Sprintf("area header checksum mismatch: got %#x, want %#x", got, wantCRC)}
 	}
 	v := binary.LittleEndian.Uint64(hdr[mhVersionOff:])
-	if v != 2 && v != 3 && v != metaVersion {
+	if v != metaVersion {
 		return secs, 0, nil, &CorruptError{Area: "metadata", Offset: areaOff + mhVersionOff,
 			Detail: fmt.Sprintf("unsupported metadata version %d", v)}
-	}
-	// Version-2 areas carry four sections (no segment table; every object
-	// loads as a dedicated extent) and version-3 areas five (no bundle
-	// table); the missing sections stay nil.
-	wantSecs, maxTag := uint64(numSecs), uint64(secBundles)
-	switch v {
-	case 2:
-		wantSecs, maxTag = numSecsV2, secIndex
-	case 3:
-		wantSecs, maxTag = numSecsV3, secSegs
 	}
 	epoch = binary.LittleEndian.Uint64(hdr[mhEpochOff:])
 	payloadLen := int64(binary.LittleEndian.Uint64(hdr[mhPayloadOff:]))
 	nSecs := binary.LittleEndian.Uint64(hdr[mhSectionsOff:])
-	if payloadLen < 0 || payloadLen > s.metaSize-metaHeaderSize || nSecs != wantSecs {
+	if payloadLen < 0 || payloadLen > s.metaSize-metaHeaderSize || nSecs != numSecs {
 		return secs, 0, nil, &CorruptError{Area: "metadata", Offset: areaOff + mhPayloadOff,
 			Detail: fmt.Sprintf("implausible geometry: payload %d bytes, %d sections", payloadLen, nSecs)}
 	}
@@ -898,7 +797,7 @@ func (s *Store) verifyMetaArea(which int) (secs [numSecs + 1][]byte, epoch uint6
 		slen := int64(binary.LittleEndian.Uint64(payload[off+8:]))
 		scrc := binary.LittleEndian.Uint64(payload[off+16:])
 		off += 24
-		if tag < secObjMap || tag > maxTag || secs[tag] != nil || slen < 0 || slen > payloadLen-off {
+		if tag < secObjMap || tag > secBundles || secs[tag] != nil || slen < 0 || slen > payloadLen-off {
 			return secs, 0, nil, &CorruptError{Area: "metadata", Offset: areaOff + metaHeaderSize + off - 24,
 				Detail: fmt.Sprintf("bad section header: tag %d, length %d", tag, slen)}
 		}
@@ -919,9 +818,9 @@ func (s *Store) verifyMetaArea(which int) (secs [numSecs + 1][]byte, epoch uint6
 		}
 		secs[tag] = body
 	}
-	if uint64(seen) != wantSecs {
+	if seen != numSecs {
 		return secs, 0, nil, &CorruptError{Area: "metadata", Offset: areaOff + metaHeaderSize,
-			Detail: fmt.Sprintf("expected %d sections, found %d", wantSecs, seen)}
+			Detail: fmt.Sprintf("expected %d sections, found %d", numSecs, seen)}
 	}
 	return secs, epoch, indexErr, nil
 }
@@ -950,18 +849,11 @@ func (s *Store) applyMetaSections(which int, secs [numSecs + 1][]byte) error {
 		}
 		s.rebuildLabelIndex()
 	}
-	// The segment table is absent in version-2 images: every object then
-	// lives in a dedicated extent and new segments start fresh.
-	if secs[secSegs] != nil {
-		if err := s.decodeSegsSection(secs[secSegs], areaOff); err != nil {
-			return err
-		}
+	if err := s.decodeSegsSection(secs[secSegs], areaOff); err != nil {
+		return err
 	}
-	// The bundle table is absent before version 4 (no bundles existed).
-	if secs[secBundles] != nil {
-		if err := s.decodeBundlesSection(secs[secBundles], areaOff); err != nil {
-			return err
-		}
+	if err := s.decodeBundlesSection(secs[secBundles], areaOff); err != nil {
+		return err
 	}
 	s.recomputeSegLive()
 	return nil
@@ -1007,11 +899,7 @@ func (s *Store) encodeMetadata(epoch uint64, labels []sealedLabel) []byte {
 		objs = appendU64(objs, k[0])
 		objs = appendU64(objs, v)
 		objs = appendU64(objs, uint64(s.objSizes[k[0]]))
-		crcField := uint64(0)
-		if crc, ok := s.objCRCs[k[0]]; ok {
-			crcField = objCRCValid | uint64(crc)
-		}
-		objs = appendU64(objs, crcField)
+		objs = appendU64(objs, objCRCValid|uint64(s.objCRCs[k[0]]))
 		return true
 	})
 	s.metaMu.RUnlock()
@@ -1124,11 +1012,13 @@ func (s *Store) decodeObjMapSection(buf []byte, areaOff int64) error {
 		if err != nil {
 			return err
 		}
+		if crcField&objCRCValid == 0 {
+			return &CorruptError{Area: "metadata", Offset: areaOff,
+				Detail: fmt.Sprintf("object %d has no contents CRC", id)}
+		}
 		s.objMap.Put(btree.K1(id), off)
 		s.objSizes[id] = int64(size)
-		if crcField&objCRCValid != 0 {
-			s.objCRCs[id] = uint32(crcField)
-		}
+		s.objCRCs[id] = uint32(crcField)
 	}
 	return nil
 }
@@ -1219,101 +1109,6 @@ func (s *Store) decodeIndexSection(buf []byte, areaOff int64) error {
 			return err
 		}
 		id, err := r.u64()
-		if err != nil {
-			return err
-		}
-		s.shardOf(id).labelIndex.Put(btree.K2(fp, id), 0)
-	}
-	return nil
-}
-
-// decodeLegacyMetadata rebuilds the trees and entries from a pre-v2
-// snapshot image (unsectioned, no checksums, object map without content
-// CRCs); Open calls it before the store is published, so no locks are
-// taken.
-func (s *Store) decodeLegacyMetadata(buf []byte) error {
-	readU64 := func() (uint64, error) {
-		if len(buf) < 8 {
-			return 0, s.noteCorruption(&CorruptError{Area: "metadata", Detail: "truncated legacy metadata"})
-		}
-		v := binary.LittleEndian.Uint64(buf)
-		buf = buf[8:]
-		return v, nil
-	}
-	n, err := readU64()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		id, err := readU64()
-		if err != nil {
-			return err
-		}
-		off, err := readU64()
-		if err != nil {
-			return err
-		}
-		size, err := readU64()
-		if err != nil {
-			return err
-		}
-		s.objMap.Put(btree.K1(id), off)
-		s.objSizes[id] = int64(size)
-	}
-	nf, err := readU64()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < nf; i++ {
-		off, err := readU64()
-		if err != nil {
-			return err
-		}
-		size, err := readU64()
-		if err != nil {
-			return err
-		}
-		s.freeBySize.Put(btree.K2(size, off), 0)
-		s.freeByOff.Put(btree.K1(off), size)
-	}
-	// Optional label section (absent in pre-label metadata images).
-	if len(buf) == 0 {
-		return nil
-	}
-	nl, err := readU64()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < nl; i++ {
-		id, err := readU64()
-		if err != nil {
-			return err
-		}
-		lbl, rest, derr := s.decodeLabel(buf)
-		if derr != nil {
-			return s.noteCorruption(&CorruptError{Area: "metadata",
-				Detail: fmt.Sprintf("legacy label of object %d does not decode: %v", id, derr)})
-		}
-		buf = rest
-		e := s.shardOf(id).getOrCreate(id)
-		e.lbl, e.hasLbl = lbl, true
-	}
-	// Optional label-index section (absent in pre-index images, which
-	// rebuild it from the labels just decoded).
-	if len(buf) == 0 {
-		s.rebuildLabelIndex()
-		return nil
-	}
-	ni, err := readU64()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < ni; i++ {
-		fp, err := readU64()
-		if err != nil {
-			return err
-		}
-		id, err := readU64()
 		if err != nil {
 			return err
 		}

@@ -15,29 +15,31 @@
 //     CRC32C over bytes [0, 56) in its final u32.  Fields (LE u64): magic
 //     "HIST", referenced metadata area (0 or 1), snapshot byte length, log
 //     region size, metadata area size, format version (2), checkpoint
-//     epoch.
-//   - Metadata area header (48 bytes): magic "HMET", version (3), checkpoint
-//     epoch, payload length, section count, CRC32C over the header's first
-//     40 bytes.
+//     epoch.  The CRC is checked before any field is trusted, the version
+//     after it.
+//   - Metadata area header (48 bytes): magic "HMET", version (4), checkpoint
+//     epoch, payload length, section count (6), CRC32C over the header's
+//     first 40 bytes.
 //   - Metadata sections: each framed [tag u64][length u64][CRC32C u64]
 //     [payload], the CRC covering the payload.  Tags: 1 object map, 2 free
 //     extents, 3 labels, 4 fingerprint index, 5 segment table (base, size,
 //     used triples for the append-only data segments; per-segment live
-//     counts are derived from the object map at open).  Verification
-//     requires every tag exactly once, in-bounds lengths, and no trailing
-//     bytes, so a flipped tag or length never silently reassigns bytes
-//     between sections.  A version-2 area (four sections, no segment
-//     table) still verifies and loads: its objects all live in dedicated
-//     extents, and the next checkpoint writes a five-section version-3
-//     image — the upgrade needs no migration pass.
-//   - Object extents: the object-map entry records a CRC32C of the
-//     object's contents, computed when the checkpoint writes it to its
-//     home (segment or dedicated extent) and verified on every uncached
-//     read and every scrub pass.  A zero CRC field marks an object
-//     migrated from a legacy image; the next checkpoint's backfill pass
-//     reads, checksums, and records such extents (without rewriting them),
-//     so a migrated image converges to fully verifiable.
+//     counts are derived from the object map at open), 6 snapshot-bundle
+//     table.  Verification requires every tag exactly once, in-bounds
+//     lengths, and no trailing bytes, so a flipped tag or length never
+//     silently reassigns bytes between sections.
+//   - Object extents: every object-map entry records a CRC32C of the
+//     object's contents (with bit 32 of the field set; an entry without it
+//     does not decode), computed when the checkpoint writes the object to
+//     its home (segment or dedicated extent) and verified on every uncached
+//     read, every scrub pass, and every segment-cleaner copy.  Bundle
+//     objects carry the same field.
 //   - Write-ahead log: per-record and header CRCs (package wal).
+//
+// These are the only formats the store reads.  A superblock copy or
+// metadata area naming any other version fails verification and walks the
+// degradation ladder below like any other damage; the log refuses an intact
+// header naming another version with wal.ErrVersion.
 //
 // # Checkpoint write schedule
 //
@@ -51,10 +53,10 @@
 //     append-only segments (or dedicated extents) — never over live data;
 //     appends land beyond each segment's committed high-water mark, and
 //     extents vacated by relocation, deletion, or the segment cleaner are
-//     queued on a deferred-free list.  Then backfill missing contents
-//     CRCs, run the cleaner, and only after every data write has issued
-//     return the deferred extents to the allocator — so the epoch-E-1
-//     snapshot's extents are never reused before epoch E commits.
+//     queued on a deferred-free list.  Then run the cleaner, and only
+//     after every data write has issued return the deferred extents to the
+//     allocator — so the epoch-E-1 snapshot's extents are never reused
+//     before epoch E commits.
 //  3. Serialize the metadata (object map and allocator state read under
 //     their locks; labels from the seal-time capture) into the area the
 //     superblock does NOT reference, flush, then rewrite both superblock

@@ -61,10 +61,6 @@ func (e *QuarantineError) Is(target error) bool {
 // RecoveryReport records which rungs of the degradation ladder Open had to
 // take to mount the store.  A clean open reports all-false.
 type RecoveryReport struct {
-	// LegacyImage: the image predates the checksummed v2 format; it was
-	// loaded without verification and will be rewritten in v2 form by the
-	// next checkpoint.
-	LegacyImage bool
 	// SuperblockFallback: the primary superblock copy failed its checks and
 	// the backup copy at offset 512 was used.
 	SuperblockFallback bool
@@ -191,19 +187,10 @@ func (s *Store) noteCorruption(err error) error {
 // subsumes the fallback case — a metadata fallback loads the previous
 // snapshot, whose marker (and generation) ReclaimBefore retains, so replay
 // naturally covers everything the lost snapshot held plus what followed,
-// with zero committed-sync loss.  When the loaded epoch has no marker
-// (fresh format, or a legacy log whose markers carry no epoch), replay
-// starts at the legacy marker if one exists, else at the beginning — for a
-// fallback mount, always at the beginning.
+// with zero committed-sync loss.  When the loaded epoch has no marker (the
+// snapshot Format wrote, which no seal opened), replay starts at the
+// beginning.
 func (s *Store) walReplayStart(l *wal.Log) int {
-	if idx, ok := l.ReplayStart(s.metaEpoch); ok {
-		return idx
-	}
-	if s.report.MetaFallback {
-		return 0
-	}
-	if idx, ok := l.ReplayStart(0); ok {
-		return idx
-	}
-	return 0
+	idx, _ := l.ReplayStart(s.metaEpoch)
+	return idx
 }

@@ -244,11 +244,10 @@ func (s *Store) cleanSegments() error {
 	// One object-map scan collects every victim's live objects (ascending
 	// id, the deterministic order the segment writer needs).
 	type liveObj struct {
-		id     uint64
-		off    int64
-		size   int64
-		crc    uint32
-		hasCRC bool
+		id   uint64
+		off  int64
+		size int64
+		crc  uint32
 	}
 	byVictim := make(map[int64][]liveObj, len(victims))
 	s.metaMu.RLock()
@@ -256,9 +255,8 @@ func (s *Store) cleanSegments() error {
 		off := int64(v)
 		for _, seg := range victims {
 			if off >= seg.base && off < seg.base+seg.size {
-				crc, has := s.objCRCs[k[0]]
 				byVictim[seg.base] = append(byVictim[seg.base], liveObj{
-					id: k[0], off: off, size: s.objSizes[k[0]], crc: crc, hasCRC: has,
+					id: k[0], off: off, size: s.objSizes[k[0]], crc: s.objCRCs[k[0]],
 				})
 				break
 			}
@@ -276,7 +274,7 @@ func (s *Store) cleanSegments() error {
 					break
 				}
 			}
-			if o.hasCRC && crc32c(buf) != o.crc {
+			if crc32c(buf) != o.crc {
 				s.noteCorruption(&CorruptError{Area: "object", Offset: o.off,
 					Detail: "contents checksum mismatch found by the segment cleaner"})
 				e := s.shardOf(o.id).getOrCreate(o.id)

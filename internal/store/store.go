@@ -34,13 +34,12 @@
 // CRC32C over the header itself — followed by tagged sections, each framed
 // as [tag u64] [length u64] [CRC32C u64] [payload]: the object map (id,
 // extent offset, size, contents-CRC quads — the contents CRC is what
-// read-time and scrub verification of home extents check against, zero
-// meaning "migrated from a legacy image, unverifiable until the checkpoint
-// CRC-backfill pass reads and checksums it"); the free-extent list
-// (offset, size); object labels (id, canonical label.AppendBinary bytes);
-// the label fingerprint index (fingerprint, id); the segment table
-// (base, size, used triples describing the append-only data segments —
-// per-segment live counts are derived from the object map at open); and
+// read-time and scrub verification of home extents check against, stored
+// with bit 32 set); the free-extent list (offset, size); object labels
+// (id, canonical label.AppendBinary bytes); the label fingerprint index
+// (fingerprint, id); the segment table (base, size, used triples
+// describing the append-only data segments — per-segment live counts are
+// derived from the object map at open); and
 // the bundle table ([count], then per bundle [lineage][bodyLen][body],
 // where the body is the bundle name, capture epoch, and per-object
 // id/offset/size/CRC/label records — see bundle.go for the codec).
@@ -48,16 +47,11 @@
 // flush, then rewrite both superblock copies with the bumped epoch, so a
 // crash mid-checkpoint always leaves one intact, referenced snapshot.
 //
-// Version-2 images (the same framing with four sections and no segment
-// table) and version-3 images (five sections, no bundle table) open
-// transparently; the next checkpoint writes a six-section version-4 image.
-// Images from before version 2 (a single bare superblock copy and an
-// unchecksummed flat metadata image) also still open: they are detected by
-// the all-zero version/epoch tail, loaded without verification, and
-// rewritten in current form by the next checkpoint.  See doc.go for the
-// full integrity reference: the degradation ladder Open walks when
-// verification fails, and the quarantine semantics for damaged object
-// extents.
+// This is the only on-disk format: a superblock copy or metadata area
+// naming any other version fails verification like any other damage.  See
+// doc.go for the full integrity reference: the degradation ladder Open
+// walks when verification fails, and the quarantine semantics for damaged
+// object extents.
 //
 // # Snapshot bundles and O(metadata) clones
 //
@@ -125,9 +119,9 @@
 //     log.  Seal duration is proportional to the number of entries, with no
 //     disk I/O except the marker append.
 //   - BODY, concurrent with everything: relocates the sealed entries into
-//     segments, backfills missing contents CRCs, runs the segment cleaner,
-//     and writes the metadata snapshot for the sealed epoch while reads,
-//     Puts, and SyncObject group commits proceed under ckptMu read mode.
+//     segments, runs the segment cleaner, and writes the metadata snapshot
+//     for the sealed epoch while reads, Puts, and SyncObject group commits
+//     proceed under ckptMu read mode.
 //     Bodies of different checkpoints are serialized by ckptRun.
 //   - FINISH: reclaims write-ahead log generations older than the previous
 //     epoch (the previous generation is retained so a torn metadata area
@@ -280,9 +274,6 @@ type Stats struct {
 	SegsAllocated uint64
 	SegsCleaned   uint64
 	SegsFreed     uint64
-	// CRCBackfills counts clean legacy-image extents that gained a contents
-	// CRC during a checkpoint's backfill pass.
-	CRCBackfills uint64
 }
 
 type counters struct {
@@ -295,7 +286,7 @@ type counters struct {
 	sealStallTotalNs, sealStallMaxNs atomic.Int64
 	bytesCleaned, metaBytesWritten   atomic.Uint64
 	segsAllocated, segsCleaned       atomic.Uint64
-	segsFreed, crcBackfills          atomic.Uint64
+	segsFreed                        atomic.Uint64
 
 	bundleSnapshots, objectClones atomic.Uint64
 	cloneBytesShared              atomic.Uint64
@@ -324,6 +315,13 @@ type Store struct {
 	// ckptMu write mode covers only the seal, so without ckptRun two
 	// concurrent Checkpoint calls could interleave their bodies.
 	ckptRun sync.Mutex
+	// mapAhead is set while the in-memory object map may hold changes of a
+	// checkpoint body that no committed snapshot carries yet: from the start
+	// of each body until its snapshot commits, and so after any failed body.
+	// While it is set a dead entry missing from objMap may still be mapped
+	// on disk, so the seal keeps it instead of pruning it.  Guarded by
+	// ckptRun.
+	mapAhead bool
 
 	// sealSeq counts checkpoint SEALs and completedSeal the highest sealed
 	// sequence whose body has fully committed.  SyncObject's full-log
@@ -344,8 +342,7 @@ type Store struct {
 	objSizes map[uint64]int64
 	// objCRCs holds the CRC32C of each object's home-extent contents,
 	// recorded when the checkpoint writes the extent and verified whenever
-	// it is read back.  Objects loaded from legacy (pre-CRC) images are
-	// absent until their next relocation and read unverified.
+	// it is read back.  Every object in objMap has one.
 	objCRCs map[uint64]uint32
 	// bundles is the snapshot-bundle table, lineage ID → bundle (see
 	// bundle.go); registered bundles pin their extents via extRefs and are
@@ -553,11 +550,10 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 	// Re-apply committed log records on top of the checkpointed state.  Open
 	// is single-threaded (the store is not yet published), so entries are
 	// written directly.  Normally only the current checkpoint generation
-	// (records after the last rotation marker) replays; after a metadata
-	// fallback the retained previous generation replays too, which is
-	// exactly what makes the older snapshot catch up with zero
+	// (records after the loaded snapshot's seal marker) replays; after a
+	// metadata fallback the retained previous generation replays too, which
+	// is exactly what makes the older snapshot catch up with zero
 	// committed-sync loss.
-	legacy := s.l.RecoveredLegacy()
 	for _, r := range recs[s.walReplayStart(s.l):] {
 		if r.Mark {
 			continue
@@ -571,7 +567,7 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 			continue
 		}
 		if r.Clone {
-			s.replayCloneRecord(r, legacy)
+			s.replayCloneRecord(r)
 			continue
 		}
 		sh := s.shardOf(r.ObjectID)
@@ -588,23 +584,20 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 		// flag, or the next SyncObject would log a spurious deletion.
 		e.dead = false
 		e.quar = false
-		switch {
-		case len(r.Label) > 0:
-			lbl, rest, derr := s.decodeLabel(r.Label)
-			if derr != nil || len(rest) != 0 {
-				return nil, s.noteCorruption(fmt.Errorf("%w: replaying label of object %d: %v", ErrCorrupt, r.ObjectID, derr))
-			}
-			// Fingerprints were recomputed once by the decode; the index
-			// entry is rebuilt here so replayed taints are queryable.
-			s.setLabel(sh, r.ObjectID, e, lbl)
-		case !legacy:
+		if len(r.Label) == 0 {
 			// A label-less record asserts the object was unlabeled when it
 			// was synced (it may have been deleted and re-created since a
 			// checkpoint recorded a label, with no tombstone ever logged).
-			// Migrated version-1 records are exempt: they predate labels in
-			// the log, so the snapshot's label is the best information.
 			s.clearLabel(sh, r.ObjectID, e)
+			continue
 		}
+		lbl, rest, derr := s.decodeLabel(r.Label)
+		if derr != nil || len(rest) != 0 {
+			return nil, s.noteCorruption(fmt.Errorf("%w: replaying label of object %d: %v", ErrCorrupt, r.ObjectID, derr))
+		}
+		// Fingerprints were recomputed once by the decode; the index entry
+		// is rebuilt here so replayed taints are queryable.
+		s.setLabel(sh, r.ObjectID, e, lbl)
 	}
 	// Replayed bundle and clone records introduced references the loaded
 	// snapshot's derived state does not reflect: rebuild the extent
@@ -642,7 +635,6 @@ func (s *Store) Stats() Stats {
 		SegsAllocated:    s.c.segsAllocated.Load(),
 		SegsCleaned:      s.c.segsCleaned.Load(),
 		SegsFreed:        s.c.segsFreed.Load(),
-		CRCBackfills:     s.c.crcBackfills.Load(),
 	}
 	// Entry locks first, metaMu second: the entry→metaMu order matches
 	// Get's readHome path, so a pending metaMu writer can never wedge
@@ -785,14 +777,13 @@ func (s *Store) Get(id uint64) ([]byte, error) {
 }
 
 // readHome reads an object's contents from its home extent, verifying them
-// against the checkpoint-recorded CRC when one exists (objects from legacy
-// pre-CRC images read unverified until their next relocation).  A mismatch
-// is reported as a CorruptError; callers quarantine the object.
+// against the checkpoint-recorded CRC.  A mismatch is reported as a
+// CorruptError; callers quarantine the object.
 func (s *Store) readHome(id uint64) ([]byte, error) {
 	s.metaMu.RLock()
 	off, ok := s.objMap.Get(btree.K1(id))
 	size := s.objSizes[id]
-	crc, hasCRC := s.objCRCs[id]
+	crc := s.objCRCs[id]
 	s.metaMu.RUnlock()
 	if !ok {
 		return nil, ErrNoSuchObject
@@ -803,14 +794,12 @@ func (s *Store) readHome(id uint64) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if hasCRC {
-		if got := crc32c(buf); got != crc {
-			return nil, s.noteCorruption(&CorruptError{
-				Area:   "object",
-				Offset: int64(off),
-				Detail: fmt.Sprintf("object %d contents checksum mismatch: got %#x, want %#x", id, got, crc),
-			})
-		}
+	if got := crc32c(buf); got != crc {
+		return nil, s.noteCorruption(&CorruptError{
+			Area:   "object",
+			Offset: int64(off),
+			Detail: fmt.Sprintf("object %d contents checksum mismatch: got %#x, want %#x", id, got, crc),
+		})
 	}
 	return buf, nil
 }

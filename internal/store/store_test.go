@@ -9,6 +9,7 @@ import (
 	"histar/internal/disk"
 	"histar/internal/label"
 	"histar/internal/vclock"
+	"histar/internal/wal"
 )
 
 func testStore(t *testing.T) (*Store, *disk.Disk) {
@@ -553,6 +554,99 @@ func TestSyncObjectLogFullFallbackIsDurable(t *testing.T) {
 	}
 	if err := s2.VerifyLabelIndex(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSealReclaimFailureRestoresSealedObjects: when the log is too full for
+// the seal marker, the seal reclaims the retained generation; if that
+// reclaim's header write fails, the checkpoint must fail at the seal with
+// the device error, re-dirty everything it sealed, and leave the next
+// checkpoint on a healthy device to make those objects durable.
+func TestSealReclaimFailureRestoresSealedObjects(t *testing.T) {
+	const (
+		logSize   = 16 << 10
+		walHeader = 32 // the log's on-disk header precedes its records
+	)
+	base := disk.New(disk.Params{Sectors: 1 << 14, WriteCache: true}, &vclock.Clock{})
+	fd := disk.NewFaultDisk(base)
+	s, err := Format(fd, Options{LogSize: logSize, MetaAreaSize: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[uint64][]byte)
+	put := func(id uint64, data []byte, sync bool) {
+		t.Helper()
+		if err := s.Put(id, data); err != nil {
+			t.Fatal(err)
+		}
+		if sync {
+			if err := s.SyncObject(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want[id] = data
+	}
+	// A record before the first checkpoint puts its seal marker past the
+	// log start, so the next seal's reclaim has a boundary to advance to.
+	put(1, []byte("before the first checkpoint"), true)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// Fill the log with synced objects until the seal marker cannot fit.
+	marker := wal.Record{Mark: true}.EncodedSize()
+	for id := uint64(100); ; id++ {
+		free := logSize - walHeader - s.l.CommittedBytes()
+		if free < marker {
+			break
+		}
+		n := free - marker // the record header is the marker's size
+		if n > 1024 {
+			n = 1024
+		}
+		put(id, bytes.Repeat([]byte{byte(id)}, int(n)), true)
+	}
+	// Async objects reach the disk only through the checkpoint.
+	for id := uint64(1000); id < 1005; id++ {
+		put(id, []byte(fmt.Sprintf("async object %d", id)), false)
+	}
+	if s.Stats().Checkpoints != 1 {
+		t.Fatal("filling the log forced a checkpoint")
+	}
+	before := s.Stats()
+
+	// The seal does no device I/O before the reclaim (the full log refuses
+	// the marker without writing), so the reclaim's header write is the
+	// first write to fail.
+	fd.Arm(0, disk.FaultOmit)
+	if err := s.Checkpoint(); !errors.Is(err, disk.ErrFault) {
+		t.Fatalf("checkpoint with a failing reclaim = %v; want the device error", err)
+	}
+	after := s.Stats()
+	if after.DirtyObjects != before.DirtyObjects || after.DirtyObjects == 0 {
+		t.Fatalf("dirty objects %d after the failed checkpoint, want %d again", after.DirtyObjects, before.DirtyObjects)
+	}
+	// The failure stops the checkpoint at the seal: no stop-the-world body
+	// ran, so no seal stall was recorded.
+	if after.SealStallTotalNs != before.SealStallTotalNs || after.Checkpoints != before.Checkpoints {
+		t.Fatalf("the failed seal went on to a checkpoint body: %+v", after)
+	}
+
+	fd.Arm(-1, disk.FaultTorn)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint on a healthy device: %v", err)
+	}
+	if n := s.Stats().DirtyObjects; n != 0 {
+		t.Fatalf("%d objects still dirty after the healthy checkpoint", n)
+	}
+	base.Crash()
+	s2, err := Open(base, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, v := range want {
+		if got, err := s2.Get(id); err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("object %d after crash = %q, %v", id, got, err)
+		}
 	}
 }
 

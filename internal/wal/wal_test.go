@@ -215,65 +215,6 @@ func TestLabelRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-// writeV1Log hand-crafts a legacy (version-1, label-less) log image on d.
-func writeV1Log(t *testing.T, d *disk.Disk, recs []Record) {
-	t.Helper()
-	var body []byte
-	for _, r := range recs {
-		hdr := make([]byte, 17)
-		binary.LittleEndian.PutUint64(hdr[0:], r.ObjectID)
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(r.Data)))
-		if r.Delete {
-			hdr[12] = 1
-		}
-		crc := crc32.ChecksumIEEE(append(hdr[:13:13], r.Data...))
-		binary.LittleEndian.PutUint32(hdr[13:], crc)
-		body = append(body, hdr...)
-		body = append(body, r.Data...)
-	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], 0x48574c4f) // v1 wrote the magic as a u64: version byte reads 0
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(body)))
-	if _, err := d.WriteAt(hdr[:], 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.WriteAt(body, 16); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestV1LogMigratesToCurrentFormat(t *testing.T) {
-	d := disk.New(disk.Params{Sectors: 1 << 15}, &vclock.Clock{})
-	want := []Record{
-		{ObjectID: 1, Data: []byte("legacy one")},
-		{ObjectID: 2, Delete: true},
-		{ObjectID: 3, Data: []byte("legacy three")},
-	}
-	writeV1Log(t, d, want)
-
-	l := Open(d, 0, 1<<20)
-	recs, err := l.Recover()
-	if err != nil {
-		t.Fatalf("recovering v1 log: %v", err)
-	}
-	if len(recs) != 3 || !bytes.Equal(recs[0].Data, want[0].Data) || !recs[1].Delete {
-		t.Fatalf("recovered %+v", recs)
-	}
-	// The log was rewritten in the current format: appending labeled records
-	// and recovering again decodes everything uniformly as version 2.
-	l.Append(Record{ObjectID: 4, Data: []byte("new"), Label: []byte{2, 1, 9, 0, 0, 0, 0, 0, 0, 0, 3}})
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err = Open(d, 0, 1<<20).Recover()
-	if err != nil {
-		t.Fatalf("recovery after migration: %v", err)
-	}
-	if len(recs) != 4 || recs[3].ObjectID != 4 || recs[3].Label == nil {
-		t.Errorf("post-migration recovery = %+v", recs)
-	}
-}
-
 func TestRecoverFreshRegion(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 12}, &vclock.Clock{})
 	l := Open(d, 0, 1<<16)
@@ -372,35 +313,66 @@ func TestUnsupportedVersionRefusedWithoutErasure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	setVersion(9)
-	if _, err := Open(d, 0, 1<<16).Recover(); !errors.Is(err, ErrVersion) {
-		t.Fatalf("future version: err=%v, want ErrVersion", err)
-	}
-	// The region was left byte-for-byte intact: restoring the version byte
-	// recovers the records.
-	setVersion(logVersion)
-	recs, err := Open(d, 0, 1<<16).Recover()
-	if err != nil || len(recs) != 1 || string(recs[0].Data) != "future records" {
-		t.Fatalf("after restoring version: %+v, %v", recs, err)
+	// A future version and every retired one (0, 2, 3) are refused alike.
+	for _, v := range []byte{9, 0, 2, 3} {
+		setVersion(v)
+		before := make([]byte, 1<<16)
+		if _, err := d.ReadAt(before, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(d, 0, 1<<16).Recover(); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: err=%v, want ErrVersion", v, err)
+		}
+		after := make([]byte, 1<<16)
+		if _, err := d.ReadAt(after, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("version %d: refusal modified the log region", v)
+		}
+		// The region was left byte-for-byte intact: restoring the version
+		// byte recovers the records.
+		setVersion(logVersion)
+		recs, err := Open(d, 0, 1<<16).Recover()
+		if err != nil || len(recs) != 1 || string(recs[0].Data) != "future records" {
+			t.Fatalf("after restoring version from %d: %+v, %v", v, recs, err)
+		}
 	}
 }
 
 func TestFlippedVersionByteIsCorruptionNotFutureFormat(t *testing.T) {
 	// A bare version-byte flip (without a matching header CRC) is bit rot,
 	// not a future format: the log must report ErrCorrupt rather than refuse
-	// the mount as ErrVersion.
-	l, d := testLog(t, 1<<16)
-	if err := l.Append(Record{ObjectID: 1, Data: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.WriteAt([]byte{9}, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(d, 0, 1<<16).Recover(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("flipped version byte: err=%v, want ErrCorrupt", err)
+	// the mount as ErrVersion.  The same holds for a version-2-style header,
+	// which ends after the committed length and so carries no CRC.
+	for _, tc := range []struct {
+		name  string
+		patch func(hdr []byte)
+	}{
+		{"flipped version byte", func(hdr []byte) { hdr[4] = 9 }},
+		{"v2-style 16-byte header", func(hdr []byte) {
+			hdr[4] = 2
+			clear(hdr[16:])
+		}},
+	} {
+		l, d := testLog(t, 1<<16)
+		if err := l.Append(Record{ObjectID: 1, Data: []byte("x")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		hdr := make([]byte, logHeaderSize)
+		if _, err := d.ReadAt(hdr, 0); err != nil {
+			t.Fatal(err)
+		}
+		tc.patch(hdr)
+		if _, err := d.WriteAt(hdr, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(d, 0, 1<<16).Recover(); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err=%v, want ErrCorrupt", tc.name, err)
+		}
 	}
 }
 
@@ -423,118 +395,6 @@ func TestDamagedMagicIsCorruptionNotFresh(t *testing.T) {
 	recs, err = Open(d, 0, 1<<16).Recover()
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("after reseal: %d recs, %v", len(recs), err)
-	}
-}
-
-func TestRotateRetainsOneGenerationBehindMarker(t *testing.T) {
-	l, d := testLog(t, 1<<16)
-	put := func(id uint64, data string) {
-		t.Helper()
-		if err := l.Append(Record{ObjectID: id, Data: []byte(data)}); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put(1, "gen one")
-	put(2, "gen one too")
-	if err := l.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	put(3, "gen two")
-
-	l2 := Open(d, 0, 1<<16)
-	recs, err := l2.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full replay sees gen one, the marker, then gen two, in order.
-	var ids []uint64
-	marks := 0
-	for _, r := range recs {
-		if r.Mark {
-			marks++
-			continue
-		}
-		ids = append(ids, r.ObjectID)
-	}
-	if marks != 1 || len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
-		t.Fatalf("recovered ids=%v marks=%d", ids, marks)
-	}
-	// Normal recovery replays only the current generation.
-	cur := recs[l2.RecoveredAfterMark():]
-	if len(cur) != 1 || cur[0].ObjectID != 3 {
-		t.Fatalf("current generation = %+v", cur)
-	}
-
-	// A second rotation drops gen one: only gen two survives the marker.
-	if err := l2.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	l3 := Open(d, 0, 1<<16)
-	recs, err = l3.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids = ids[:0]
-	for _, r := range recs {
-		if !r.Mark {
-			ids = append(ids, r.ObjectID)
-		}
-	}
-	if len(ids) != 1 || ids[0] != 3 {
-		t.Fatalf("after second rotation ids=%v", ids)
-	}
-	if l3.RecoveredAfterMark() != len(recs) {
-		t.Fatalf("current generation should be empty, boundary=%d of %d", l3.RecoveredAfterMark(), len(recs))
-	}
-	if l2.Stats().Rotations != 1 {
-		t.Fatalf("rotations = %d", l2.Stats().Rotations)
-	}
-}
-
-func TestRotateEmptyGenerationTruncates(t *testing.T) {
-	l, d := testLog(t, 1<<16)
-	if err := l.Append(Record{ObjectID: 1, Data: []byte("z")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	// Nothing committed since: the second rotation degrades to a truncate.
-	if err := l.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := Open(d, 0, 1<<16).Recover()
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("log should be empty after rotating an empty generation: %d recs, %v", len(recs), err)
-	}
-}
-
-func TestRotateOversizeGenerationTruncates(t *testing.T) {
-	// A generation bigger than half the region is not retained — the log
-	// must stay usable for new commits.
-	l, d := testLog(t, 1<<12)
-	big := make([]byte, 3<<10)
-	if err := l.Append(Record{ObjectID: 1, Data: big[:1200]}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(Record{ObjectID: 2, Data: big[:1200]}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := Open(d, 0, 1<<12).Recover()
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("oversize generation should truncate: %d recs, %v", len(recs), err)
 	}
 }
 
@@ -602,5 +462,201 @@ func TestDropPendingDiscardsUncommittedRecords(t *testing.T) {
 	recs, err := Open(d, 0, 1<<20).Recover()
 	if err != nil || len(recs) != 1 || recs[0].ObjectID != 1 {
 		t.Fatalf("recover after drop: %+v, %v", recs, err)
+	}
+}
+
+// commitRecord appends one record and commits it.
+func commitRecord(t *testing.T, l *Log, id uint64, data []byte) {
+	t.Helper()
+	if err := l.Append(Record{ObjectID: id, Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func recordIDs(recs []Record) []uint64 {
+	var ids []uint64
+	for _, r := range recs {
+		ids = append(ids, r.ObjectID)
+	}
+	return ids
+}
+
+func TestMarkerReplayStartAfterRecover(t *testing.T) {
+	l, d := testLog(t, 1<<16)
+	commitRecord(t, l, 1, []byte("gen one"))
+	commitRecord(t, l, 2, []byte("gen one too"))
+	if err := l.AppendMark(5); err != nil {
+		t.Fatal(err)
+	}
+	commitRecord(t, l, 3, []byte("gen two"))
+	if err := l.AppendMark(6); err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := Open(d, 0, 1<<16)
+	recs, err := l2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Full replay sees every record and both markers, in order.
+	if len(recs) != 5 || !recs[2].Mark || recs[2].ObjectID != 5 || !recs[4].Mark || recs[4].ObjectID != 6 {
+		t.Fatalf("recovered %+v", recs)
+	}
+	// Replay from epoch 5's marker sees only the generation after it.
+	idx, ok := l2.ReplayStart(5)
+	if !ok || idx != 3 || recs[idx].ObjectID != 3 {
+		t.Fatalf("ReplayStart(5) = %d, %v", idx, ok)
+	}
+	// The last marker opens an empty generation.
+	if idx, ok := l2.ReplayStart(6); !ok || idx != len(recs) {
+		t.Fatalf("ReplayStart(6) = %d, %v; want %d", idx, ok, len(recs))
+	}
+	if _, ok := l2.ReplayStart(7); ok {
+		t.Fatal("ReplayStart found a marker for an epoch never written")
+	}
+}
+
+func TestReclaimBeforeAdvancesStartAndKeepsMarker(t *testing.T) {
+	l, d := testLog(t, 1<<16)
+	commitRecord(t, l, 1, []byte("dead"))
+	if err := l.AppendMark(1); err != nil {
+		t.Fatal(err)
+	}
+	commitRecord(t, l, 2, []byte("retained"))
+	if err := l.AppendMark(2); err != nil {
+		t.Fatal(err)
+	}
+	commitRecord(t, l, 3, bytes.Repeat([]byte("live"), 64))
+	committed := l.CommittedBytes()
+
+	// An unknown epoch reclaims nothing.
+	if err := l.ReclaimBefore(9); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Reclaims != 0 || l.LiveBytes() != committed {
+		t.Fatalf("unknown epoch reclaimed: reclaims=%d live=%d of %d", st.Reclaims, l.LiveBytes(), committed)
+	}
+
+	if err := l.ReclaimBefore(1); err != nil {
+		t.Fatal(err)
+	}
+	dead := encodedSize(Record{ObjectID: 1, Data: []byte("dead")})
+	if st := l.Stats(); st.Reclaims != 1 || l.LiveBytes() != committed-dead {
+		t.Fatalf("after ReclaimBefore(1): reclaims=%d live=%d, want %d", st.Reclaims, l.LiveBytes(), committed-dead)
+	}
+	// The start offset moved to the marker, which itself survives.
+	l2 := Open(d, 0, 1<<16)
+	recs, err := l2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 4 || !recs[0].Mark || recs[0].ObjectID != 1 {
+		t.Fatalf("recovered %+v", recs)
+	}
+	if idx, ok := l2.ReplayStart(1); !ok || idx != 1 || recs[idx].ObjectID != 2 {
+		t.Fatalf("ReplayStart(1) = %d, %v", idx, ok)
+	}
+	if idx, ok := l2.ReplayStart(2); !ok || idx != 3 || recs[idx].ObjectID != 3 {
+		t.Fatalf("ReplayStart(2) = %d, %v", idx, ok)
+	}
+}
+
+func TestReclaimCompactsOnlyWhenLiveSuffixFitsDeadPrefix(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		deadLen, liveLen int
+		compact          bool
+	}{
+		{"suffix fits", 4000, 1500, true},
+		{"suffix overlaps", 100, 1500, false},
+	} {
+		l, d := testLog(t, 1<<16)
+		commitRecord(t, l, 1, make([]byte, tc.deadLen))
+		if err := l.AppendMark(1); err != nil {
+			t.Fatal(err)
+		}
+		commitRecord(t, l, 2, bytes.Repeat([]byte{7}, tc.liveLen))
+		if err := l.ReclaimBefore(1); err != nil {
+			t.Fatal(err)
+		}
+		st := l.Stats()
+		if got := st.Compactions == 1; got != tc.compact {
+			t.Fatalf("%s: compactions=%d, want compaction=%v", tc.name, st.Compactions, tc.compact)
+		}
+		// A compacted log holds only its live bytes; an uncompacted one
+		// still carries the dead prefix behind the start offset.
+		if got := l.CommittedBytes() == l.LiveBytes(); got != tc.compact {
+			t.Fatalf("%s: committed=%d live=%d", tc.name, l.CommittedBytes(), l.LiveBytes())
+		}
+		recs, err := Open(d, 0, 1<<16).Recover()
+		if err != nil || len(recs) != 2 || !recs[0].Mark || recs[1].ObjectID != 2 || len(recs[1].Data) != tc.liveLen {
+			t.Fatalf("%s: recovered ids %v, %v", tc.name, recordIDs(recs), err)
+		}
+	}
+}
+
+// TestCompactionCrashAtEveryWriteBoundary kills the device at every write
+// boundary of a reclaim-plus-compaction (and torn inside every multi-sector
+// write) and checks that recovery sees either the whole pre-reclaim log or
+// exactly the reclaimed one, never anything else.
+func TestCompactionCrashAtEveryWriteBoundary(t *testing.T) {
+	live := bytes.Repeat([]byte("suffix"), 250) // spans several sectors
+	setup := func() (*Log, *disk.FaultDisk) {
+		base := disk.New(disk.Params{Sectors: 1 << 8}, &vclock.Clock{})
+		fd := disk.NewFaultDisk(base)
+		l, err := New(fd, 0, 1<<16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		commitRecord(t, l, 1, make([]byte, 4000))
+		if err := l.AppendMark(1); err != nil {
+			t.Fatal(err)
+		}
+		commitRecord(t, l, 2, live)
+		return l, fd
+	}
+	l, fd := setup()
+	fd.Arm(-1, disk.FaultTorn)
+	if err := l.ReclaimBefore(1); err != nil {
+		t.Fatal(err)
+	}
+	if l.Stats().Compactions != 1 {
+		t.Fatal("setup did not compact")
+	}
+	points := []int64{0}
+	prev := int64(0)
+	for _, b := range fd.WriteBounds() {
+		if b-prev > disk.SectorSize {
+			points = append(points, prev+(b-prev)/2)
+		}
+		points = append(points, b)
+		prev = b
+	}
+	for _, mode := range []disk.FaultMode{disk.FaultTorn, disk.FaultOmit, disk.FaultFlip} {
+		for _, pt := range points {
+			l, fd := setup()
+			fd.Arm(pt, mode)
+			_ = l.ReclaimBefore(1) // may fail at the fault
+			l2 := Open(fd.Inner(), 0, 1<<16)
+			recs, err := l2.Recover()
+			if err != nil {
+				t.Fatalf("%v@%d: recover: %v", mode, pt, err)
+			}
+			pre := len(recs) == 3 && !recs[0].Mark && recs[0].ObjectID == 1 && recs[1].Mark
+			post := len(recs) == 2 && recs[0].Mark && recs[0].ObjectID == 1
+			if !pre && !post {
+				t.Fatalf("%v@%d: recovered ids %v: neither pre- nor post-compaction view", mode, pt, recordIDs(recs))
+			}
+			last := recs[len(recs)-1]
+			if last.ObjectID != 2 || !bytes.Equal(last.Data, live) {
+				t.Fatalf("%v@%d: live record damaged: %+v", mode, pt, last)
+			}
+			if idx, ok := l2.ReplayStart(1); !ok || recs[idx].ObjectID != 2 {
+				t.Fatalf("%v@%d: ReplayStart(1) = %d, %v", mode, pt, idx, ok)
+			}
+		}
 	}
 }
