@@ -799,11 +799,6 @@ func benchSyscallParallel(b *testing.B, shards int) {
 		}(w)
 	}
 	ops.Wait()
-	b.StopTimer()
-	l1 := k.LabelL1Stats()
-	if l1.Hits+l1.Misses > 0 {
-		b.ReportMetric(100*float64(l1.Hits)/float64(l1.Hits+l1.Misses), "L1-hit-%")
-	}
 }
 
 func BenchmarkSyscallParallel(b *testing.B)             { benchSyscallParallel(b, 0) }
@@ -997,32 +992,6 @@ func BenchmarkSyscallRingSerial(b *testing.B) { benchSyscallRing(b, false) }
 // ---------------------------------------------------------------------------
 // Ablations (DESIGN.md Section 5).
 // ---------------------------------------------------------------------------
-
-// BenchmarkAblation_LabelCache measures the immutable-label comparison cache
-// (Section 4's kernel optimization) by hammering a label-check-heavy path
-// (segment reads) with the cache on and off.
-func ablationLabelCache(b *testing.B, disable bool) {
-	sys, err := unixlib.Boot(unixlib.BootOptions{KernelConfig: kernel.Config{Seed: 5, DisableLabelCache: disable}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := sys.NewInitProcess("bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := p.WriteFile("/tmp/x", []byte("payload"), label.Label{}); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.ReadFile("/tmp/x"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_LabelCache_On(b *testing.B)  { ablationLabelCache(b, false) }
-func BenchmarkAblation_LabelCache_Off(b *testing.B) { ablationLabelCache(b, true) }
 
 // BenchmarkAblation_NetdFastpath compares the gate-call receive path against
 // the shared-memory/futex fast path (the Section 5.7 optimization).

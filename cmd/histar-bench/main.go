@@ -40,9 +40,6 @@ type Report struct {
 	ForkExecSyscalls uint64 `json:"fork_exec_syscalls"`
 	SpawnSyscalls    uint64 `json:"spawn_syscalls"`
 
-	LabelCache LabelCacheReport `json:"label_cache"`
-	LabelL1    LabelL1Report    `json:"label_l1"`
-
 	// E4: per-file sync time over group sync time for small-file creates.
 	PerFileOverGroupSync float64 `json:"per_file_over_group_sync"`
 
@@ -110,22 +107,6 @@ type WebReport struct {
 	// (steady-state session-hit) RPS over baseline RPS.
 	MixedSpeedup float64 `json:"mixed_speedup"`
 	WarmSpeedup  float64 `json:"warm_speedup"`
-}
-
-type LabelCacheReport struct {
-	Hits         uint64  `json:"hits"`
-	Misses       uint64  `json:"misses"`
-	HitRate      float64 `json:"hit_rate"`
-	Evictions    uint64  `json:"evictions"`
-	ActiveShards int     `json:"active_shards"`
-	TotalShards  int     `json:"total_shards"`
-}
-
-type LabelL1Report struct {
-	Hits    uint64  `json:"hits"`
-	Misses  uint64  `json:"misses"`
-	HitRate float64 `json:"hit_rate"`
-	Threads int     `json:"threads"`
 }
 
 type GroupCommitReport struct {
@@ -268,9 +249,8 @@ func main() {
 	printReport(&r)
 }
 
-// syscallCounts boots a fresh system, measures E13 (syscalls per
-// process-creation primitive), and snapshots the label caches that run
-// exercised.
+// syscallCounts boots a fresh system and measures E13 (syscalls per
+// process-creation primitive).
 func syscallCounts(r *Report) {
 	sys, err := unixlib.Boot(unixlib.BootOptions{KernelConfig: kernel.Config{Seed: 2}})
 	must(err)
@@ -288,30 +268,6 @@ func syscallCounts(r *Report) {
 	must(err)
 	p.Wait(child2)
 	r.SpawnSyscalls = sys.Kern.SyscallTotal()
-
-	// Label comparison-cache behaviour over the run above (Section 4's
-	// immutable-label memoization).
-	cs := sys.Kern.LabelCacheStats()
-	for _, sh := range cs.Shards {
-		if sh.Entries > 0 || sh.Hits+sh.Misses > 0 {
-			r.LabelCache.ActiveShards++
-		}
-	}
-	r.LabelCache.TotalShards = len(cs.Shards)
-	r.LabelCache.Hits, r.LabelCache.Misses, r.LabelCache.Evictions = cs.Hits, cs.Misses, cs.Evictions
-	r.LabelCache.HitRate = rate(cs.Hits, cs.Misses)
-
-	// Per-thread L1 in front of the sharded cache: the hottest canObserve
-	// checks are answered from a lock-free per-thread array.
-	l1 := sys.Kern.LabelL1Stats()
-	r.LabelL1 = LabelL1Report{Hits: l1.Hits, Misses: l1.Misses, HitRate: rate(l1.Hits, l1.Misses), Threads: len(l1.Threads)}
-}
-
-func rate(hits, misses uint64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return 100 * float64(hits) / float64(hits+misses)
 }
 
 // ringRun exercises the syscall ring the way the Unix library's hot paths
@@ -940,11 +896,6 @@ func printReport(r *Report) {
 	fmt.Println()
 	fmt.Printf("E13 syscall counts: fork/exec=%d, spawn=%d (paper: 317 vs 127; Linux 9)\n",
 		r.ForkExecSyscalls, r.SpawnSyscalls)
-	fmt.Printf("Label cache: %d hits / %d misses (%.1f%% hit rate), %d entries evicted, %d/%d shards active\n",
-		r.LabelCache.Hits, r.LabelCache.Misses, r.LabelCache.HitRate,
-		r.LabelCache.Evictions, r.LabelCache.ActiveShards, r.LabelCache.TotalShards)
-	fmt.Printf("Per-thread L1: %d hits / %d misses (%.1f%% hit rate), %d live threads\n",
-		r.LabelL1.Hits, r.LabelL1.Misses, r.LabelL1.HitRate, r.LabelL1.Threads)
 	fmt.Printf("E4 durability shapes: per-file sync is %.0fx slower than group sync for small-file creates (paper: up to ~200x)\n",
 		r.PerFileOverGroupSync)
 	fmt.Printf("Store group commit: %d syncs → %d WAL commits (%.2f commits/sync, max batch %d records, GOMAXPROCS=%d)\n",

@@ -8,13 +8,12 @@
 //
 // The label algebra (internal/label) keeps every label in an immutable
 // canonical form — a slice of category/level pairs sorted by category, with
-// the 64-bit fingerprint (and the fingerprint of the raised superscript-J
-// form) computed once at construction — so the ⊑/⊔/⊓ operations are
-// allocation-free linear merges, access-check caching is a pair of stored
-// field reads, and hot labels are interned down to one shared
-// pointer-comparable instance.  The kernel's comparison cache is sharded by
-// fingerprint bits with per-shard eviction, and the single-level store
-// persists labels in the same canonical serialized form.
+// the 64-bit fingerprint computed once at construction — so ⊑ is an
+// allocation-free linear merge and ⊔/⊓ allocate only their output.  Every
+// access check runs on that one merge, reading ⋆ as J where a check compares
+// against a superscript-J form, so the kernel checks labels directly and
+// keeps no comparison cache.  The single-level store persists labels in the
+// same canonical serialized form.
 //
 // The single-level store (internal/store) makes labels first-class durable
 // state: every SyncObject log record carries the object's contents and
@@ -45,10 +44,8 @@
 // object carries its own RW lock, and multi-object syscalls acquire object
 // locks in ascending object-ID order (see the internal/kernel package
 // comment for the full discipline).  Read-mostly syscalls take only read
-// locks; each thread additionally fronts the shared comparison cache with a
-// small lock-free L1 keyed by both labels' fingerprints, so the hottest
-// canObserve checks touch no mutex.  Syscall statistics are striped atomic
-// counters indexed by a fixed syscall enum, merged on read.
+// locks, and label checks take no lock at all.  Syscall statistics are
+// striped atomic counters indexed by a fixed syscall enum, merged on read.
 //
 // Batched submission rides on top of that discipline: a per-thread syscall
 // ring (kernel.Ring, an io_uring-style interface) queues segment and stat

@@ -34,7 +34,7 @@ func (tc *ThreadCall) AddressSpaceCreate(d ID, l label.Label, descrip string) (I
 	if cont.avoidTypes.Has(ObjAddressSpace) {
 		return NilID, ErrAvoidType
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, cont.lbl) {
+	if !label.CanModify(ctx.lbl, cont.lbl) {
 		return NilID, ErrLabel
 	}
 	if !label.CanAllocate(ctx.lbl, ctx.clearance, l) {
@@ -45,7 +45,7 @@ func (tc *ThreadCall) AddressSpaceCreate(d ID, l label.Label, descrip string) (I
 		header: header{
 			id:      tc.k.newID(),
 			objType: ObjAddressSpace,
-			lbl:     label.Intern(l),
+			lbl:     l,
 			quota:   quota,
 			descrip: truncDescrip(descrip),
 			refs:    1,
@@ -94,7 +94,7 @@ func (tc *ThreadCall) AddressSpaceSet(ce CEnt, maps []Mapping) error {
 	if err != nil {
 		return err
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, a.lbl) {
+	if !label.CanModify(ctx.lbl, a.lbl) {
 		return ErrLabel
 	}
 	ls := lockOrdered(objLock{cont, false}, objLock{a, true})
@@ -129,7 +129,7 @@ func (tc *ThreadCall) AddressSpaceGet(ce CEnt) ([]Mapping, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, a.lbl) {
+	if !label.CanObserve(ctx.lbl, a.lbl) {
 		return nil, ErrLabel
 	}
 	ls := lockOrdered(objLock{cont, false}, objLock{a, false})
@@ -154,7 +154,7 @@ func (tc *ThreadCall) AddressSpaceAddMapping(ce CEnt, m Mapping) error {
 	if err != nil {
 		return err
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, a.lbl) {
+	if !label.CanModify(ctx.lbl, a.lbl) {
 		return ErrLabel
 	}
 	if m.VA%PageSize != 0 {
@@ -183,7 +183,7 @@ func (tc *ThreadCall) AddressSpaceRemoveMapping(ce CEnt, va uint64) error {
 	if err != nil {
 		return err
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, a.lbl) {
+	if !label.CanModify(ctx.lbl, a.lbl) {
 		return ErrLabel
 	}
 	ls := lockOrdered(objLock{cont, false}, objLock{a, true})
@@ -216,7 +216,7 @@ func (tc *ThreadCall) SetFaultHandler(ce CEnt, h func(va uint64, write bool, err
 	if err != nil {
 		return err
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, a.lbl) {
+	if !label.CanModify(ctx.lbl, a.lbl) {
 		return ErrLabel
 	}
 	ls := lockOrdered(objLock{cont, false}, objLock{a, true})
@@ -346,7 +346,7 @@ func (tc *ThreadCall) pageFaultInner(ctx tctx, va uint64, n int, write bool) (*s
 		return nil, 0, ErrWrongType
 	}
 	// The thread must be able to use its address space at all.
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, as.lbl) {
+	if !label.CanObserve(ctx.lbl, as.lbl) {
 		return nil, 0, ErrLabel
 	}
 	// Find the covering mapping and copy it out; the syscall linearizes at
@@ -381,7 +381,7 @@ func (tc *ThreadCall) pageFaultInner(ctx tctx, va uint64, n int, write bool) (*s
 	if err != nil {
 		return nil, 0, err
 	}
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, cont.lbl) {
+	if !label.CanObserve(ctx.lbl, cont.lbl) {
 		return nil, 0, ErrLabel
 	}
 	if err := verifyLinkedBrief(cont, m.Seg.Object); err != nil {
@@ -395,7 +395,7 @@ func (tc *ThreadCall) pageFaultInner(ctx tctx, va uint64, n int, write bool) (*s
 	if !ok {
 		return nil, 0, ErrWrongType
 	}
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, seg.lbl) {
+	if !label.CanObserve(ctx.lbl, seg.lbl) {
 		return nil, 0, ErrLabel
 	}
 	if write {
@@ -405,7 +405,7 @@ func (tc *ThreadCall) pageFaultInner(ctx tctx, va uint64, n int, write bool) (*s
 		if immutable {
 			return nil, 0, ErrImmutable
 		}
-		if !tc.k.leq(ctx.lbl, seg.lbl) {
+		if !ctx.lbl.Leq(seg.lbl) {
 			return nil, 0, ErrLabel
 		}
 	}

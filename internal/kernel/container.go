@@ -25,7 +25,7 @@ func (tc *ThreadCall) ContainerCreate(d ID, l label.Label, descrip string, avoid
 	if parent.avoidTypes.Has(ObjContainer) {
 		return NilID, ErrAvoidType
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, parent.lbl) {
+	if !label.CanModify(ctx.lbl, parent.lbl) {
 		return NilID, ErrLabel
 	}
 	if !label.CanAllocate(ctx.lbl, ctx.clearance, l) {
@@ -42,7 +42,7 @@ func (tc *ThreadCall) ContainerCreate(d ID, l label.Label, descrip string, avoid
 		header: header{
 			id:      tc.k.newID(),
 			objType: ObjContainer,
-			lbl:     label.Intern(l),
+			lbl:     l,
 			quota:   quota,
 			descrip: truncDescrip(descrip),
 			refs:    1,
@@ -102,7 +102,7 @@ func (tc *ThreadCall) containerEntries(ctx tctx, ce CEnt) ([]ID, error) {
 	if !ok {
 		return nil, ErrNotContainer
 	}
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, c.lbl) {
+	if !label.CanObserve(ctx.lbl, c.lbl) {
 		return nil, ErrLabel
 	}
 	ls := lockOrdered(objLock{cont, false}, objLock{c, false})
@@ -156,7 +156,7 @@ func (tc *ThreadCall) ContainerFindLabeled(ce CEnt, fp label.Fingerprint) ([]ID,
 		if lbl.Fingerprint() != fp {
 			continue
 		}
-		if !tc.k.canObserveT(ctx.t, ctx.lbl, lbl) {
+		if !label.CanObserve(ctx.lbl, lbl) {
 			continue
 		}
 		out = append(out, id)
@@ -178,7 +178,7 @@ func (tc *ThreadCall) Link(d ID, src CEnt) error {
 	if err != nil {
 		return err
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, dest.lbl) {
+	if !label.CanModify(ctx.lbl, dest.lbl) {
 		return ErrLabel
 	}
 	srcCont, obj, err := tc.k.peek(ctx, src)
@@ -209,7 +209,7 @@ func (tc *ThreadCall) Link(d ID, src CEnt) error {
 	}
 	// Non-thread labels are immutable, but thread labels are not; read under
 	// the object's lock either way.
-	if !tc.k.leq(h.lbl, ctx.clearance) {
+	if !h.lbl.Leq(ctx.clearance) {
 		return ErrClearance
 	}
 	if !h.fixedQuota {
@@ -241,7 +241,7 @@ func (tc *ThreadCall) Unref(d ID, o ID) error {
 	if err != nil {
 		return err
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, cont.lbl) {
+	if !label.CanModify(ctx.lbl, cont.lbl) {
 		return ErrLabel
 	}
 	if o == tc.k.rootID {
@@ -306,7 +306,7 @@ func (tc *ThreadCall) QuotaMove(d ID, o ID, n int64) error {
 	if err != nil {
 		return err
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, cont.lbl) {
+	if !label.CanModify(ctx.lbl, cont.lbl) {
 		return ErrLabel
 	}
 	ls := lockOrdered(objLock{cont, true}, objLock{obj, true})
@@ -318,7 +318,7 @@ func (tc *ThreadCall) QuotaMove(d ID, o ID, n int64) error {
 		return ErrNoSuchObject
 	}
 	h := obj.hdr()
-	if !tc.k.leq(ctx.lbl, h.lbl) || !tc.k.leq(h.lbl, ctx.clearance) {
+	if !ctx.lbl.Leq(h.lbl) || !h.lbl.Leq(ctx.clearance) {
 		return ErrLabel
 	}
 	if h.fixedQuota {
@@ -333,7 +333,7 @@ func (tc *ThreadCall) QuotaMove(d ID, o ID, n int64) error {
 	}
 	// Shrinking: returns an error when o has fewer than |n| spare bytes,
 	// thereby conveying information about o to the caller.
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, h.lbl) {
+	if !label.CanObserve(ctx.lbl, h.lbl) {
 		return ErrLabel
 	}
 	take := uint64(-n)
@@ -386,7 +386,7 @@ func (tc *ThreadCall) objectStatLocked(ctx tctx, obj object) (Stat, error) {
 	if th, ok := obj.(*thread); ok {
 		// Thread labels are not immutable; expose them only when
 		// LT'ᴶ ⊑ LTᴶ.
-		if tc.k.leqRaised(th.lbl, ctx.lbl) {
+		if th.lbl.LeqRaised(ctx.lbl) {
 			st.Label = th.lbl
 		} else {
 			return Stat{}, ErrLabel
@@ -417,7 +417,7 @@ func (tc *ThreadCall) ObjectSetMetadata(ce CEnt, md [MetadataSize]byte) error {
 	if h.immutable {
 		return ErrImmutable
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, effectiveLabel(obj)) {
+	if !label.CanModify(ctx.lbl, effectiveLabel(obj)) {
 		return ErrLabel
 	}
 	h.metadata = md
@@ -440,7 +440,7 @@ func (tc *ThreadCall) ObjectSetImmutable(ce CEnt) error {
 	if err := verifyEntryLive(cont, obj); err != nil {
 		return err
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, effectiveLabel(obj)) {
+	if !label.CanModify(ctx.lbl, effectiveLabel(obj)) {
 		return ErrLabel
 	}
 	obj.hdr().immutable = true
@@ -465,7 +465,7 @@ func (tc *ThreadCall) ObjectSetFixedQuota(ce CEnt) error {
 	if err := verifyEntryLive(cont, obj); err != nil {
 		return err
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, effectiveLabel(obj)) {
+	if !label.CanModify(ctx.lbl, effectiveLabel(obj)) {
 		return ErrLabel
 	}
 	obj.hdr().fixedQuota = true

@@ -27,7 +27,7 @@ func (k *Kernel) DeviceCreate(d ID, lbl label.Label, mac [6]byte, descrip string
 		header: header{
 			id:      k.newID(),
 			objType: ObjDevice,
-			lbl:     label.Intern(lbl),
+			lbl:     lbl,
 			quota:   64 * 1024,
 			descrip: truncDescrip(descrip),
 			refs:    1,
@@ -215,7 +215,7 @@ func (tc *ThreadCall) deviceForRead(ctx tctx, ce CEnt) (*container, *device, err
 	if !ok {
 		return nil, nil, ErrWrongType
 	}
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, d.lbl) {
+	if !label.CanObserve(ctx.lbl, d.lbl) {
 		return nil, nil, ErrLabel
 	}
 	return cont, d, nil
@@ -230,7 +230,7 @@ func (tc *ThreadCall) deviceForWrite(ctx tctx, ce CEnt) (*container, *device, er
 	if !ok {
 		return nil, nil, ErrWrongType
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, d.lbl) {
+	if !label.CanModify(ctx.lbl, d.lbl) {
 		return nil, nil, ErrLabel
 	}
 	return cont, d, nil

@@ -43,8 +43,8 @@
 //     deallocate); an object lock is never acquired while a shard lock is
 //     held.
 //  5. Futex-table shard locks nest inside object locks and never the other
-//     way around.  The label cache, interning table, and allocators are
-//     self-synchronized leaves.
+//     way around.  The ID and category allocators are self-synchronized
+//     leaves.
 //
 // Recursive deallocation (unreferencing a container subtree) never holds two
 // tree levels' locks at once: an object that drops to zero references is
@@ -97,10 +97,16 @@
 // Read-mostly syscalls (segment reads, resolution, stat, list) take only
 // read locks, so they proceed in parallel across — and within — shards.
 // Mutating syscalls take write locks only on the objects they mutate.
-// Threads own a small lock-free L1 in front of the sharded label-comparison
-// cache (thread labels are interned and pointer-stable, and the L1 is keyed
-// by both labels' fingerprints, so entries self-invalidate when the thread's
-// label changes); a hot canObserve check touches no mutex at all.
+//
+// # Label checks
+//
+// Every check calls the label package directly — label.CanObserve,
+// label.CanModify, Label.Leq and friends — on the thread's label snapshot
+// and the object's immutable label.  Each is one allocation-free merge over
+// two canonical slices, so a check takes no lock and shares no state between
+// threads.  The paper's kernel caches comparisons between immutable labels
+// (Section 4); here the merge costs less than a cache lookup would, so the
+// kernel keeps no cache.
 package kernel
 
 import (
@@ -116,15 +122,6 @@ type Config struct {
 	// Seed keys the object-ID and category generators so simulations are
 	// reproducible.
 	Seed uint64
-	// DisableLabelCache turns off memoization of label comparisons between
-	// immutable labels (the Section 4 optimization); used by the ablation
-	// benchmarks.
-	DisableLabelCache bool
-	// LabelCacheEntries bounds the label comparison cache (0 picks the
-	// default of 65536).  Workloads with very large live category
-	// populations — the many-user web harness — size this up so steady-state
-	// comparisons stay cached instead of churning through evictions.
-	LabelCacheEntries int
 	// RootQuota is the quota of the root container; 0 means infinite.
 	RootQuota uint64
 	// ObjectTableShards overrides the number of object-table shards (rounded
@@ -146,7 +143,7 @@ type objShard struct {
 }
 
 // Kernel is a single simulated HiStar machine: an object table rooted at the
-// root container plus the generators and caches the kernel maintains.
+// root container plus the generators and counters the kernel maintains.
 type Kernel struct {
 	shards    []objShard
 	shardMask uint64
@@ -155,18 +152,12 @@ type Kernel struct {
 	ids  *label.Allocator
 	cats *label.Allocator
 
-	labelCache    *label.Cache
-	useLabelCache bool
-
 	futexes [futexShardCount]futexShard
 
 	syscalls syscallCounters
 
 	// ring tallies batched-submission activity (see ring.go).
 	ring ringCounters
-
-	// retired L1 counters of deallocated threads, folded in at teardown.
-	retired l1Retired
 
 	// netMu guards the bootstrap device list.
 	netMu      sync.Mutex
@@ -196,13 +187,11 @@ func New(cfg Config) *Kernel {
 	// Round down to a power of two so shard selection is a mask.
 	nShards = 1 << (bits.Len(uint(nShards)) - 1)
 	k := &Kernel{
-		shards:        make([]objShard, nShards),
-		shardMask:     uint64(nShards - 1),
-		ids:           label.NewAllocator(cfg.Seed ^ 0x9e3779b97f4a7c15),
-		cats:          label.NewAllocator(cfg.Seed),
-		labelCache:    label.NewCache(cfg.LabelCacheEntries),
-		useLabelCache: !cfg.DisableLabelCache,
-		snapshots:     make(map[uint64]*Snapshot),
+		shards:    make([]objShard, nShards),
+		shardMask: uint64(nShards - 1),
+		ids:       label.NewAllocator(cfg.Seed ^ 0x9e3779b97f4a7c15),
+		cats:      label.NewAllocator(cfg.Seed),
+		snapshots: make(map[uint64]*Snapshot),
 	}
 	for i := range k.shards {
 		k.shards[i].m = make(map[ID]object)
@@ -382,84 +371,6 @@ func verifyLinkedBrief(cont *container, id ID) error {
 	return err
 }
 
-// ---------------------------------------------------------------------------
-// Label checks (cache + per-thread L1).
-// ---------------------------------------------------------------------------
-
-// leq applies the ⊑ check, through the comparison cache when enabled.
-func (k *Kernel) leq(a, b label.Label) bool {
-	if k.useLabelCache {
-		return k.labelCache.Leq(a, b)
-	}
-	return a.Leq(b)
-}
-
-// leqRaised applies aᴶ ⊑ bᴶ; the cached path keys on the precomputed raised
-// fingerprints so neither superscript-J form is materialized on a hit.
-func (k *Kernel) leqRaised(a, b label.Label) bool {
-	if k.useLabelCache {
-		return k.labelCache.LeqRaised(a, b)
-	}
-	return a.RaiseJ().Leq(b.RaiseJ())
-}
-
-func (k *Kernel) canObserve(thr, obj label.Label) bool {
-	if k.useLabelCache {
-		return k.labelCache.CanObserve(thr, obj)
-	}
-	return label.CanObserve(thr, obj)
-}
-
-func (k *Kernel) canModify(thr, obj label.Label) bool {
-	if k.useLabelCache {
-		return k.labelCache.CanModify(thr, obj)
-	}
-	return label.CanModify(thr, obj)
-}
-
-// canObserveT is canObserve through the invoking thread's L1: a tiny
-// direct-mapped array of atomics in front of the sharded comparison cache,
-// so the hottest check on the syscall path acquires no mutex at all.  thr is
-// the snapshot of t's label taken at syscall entry.
-func (k *Kernel) canObserveT(t *thread, thr, obj label.Label) bool {
-	if !k.useLabelCache || t == nil {
-		return k.canObserve(thr, obj)
-	}
-	mix := l1Mix(thr.RaisedFingerprint(), obj.Fingerprint())
-	idx := (mix >> 40) & l1Mask
-	tag := mix &^ 1
-	if e := t.l1[idx].Load(); e != 0 && e&^1 == tag {
-		t.l1Hits.Add(1)
-		return e&1 != 0
-	}
-	t.l1Misses.Add(1)
-	v := k.labelCache.CanObserve(thr, obj)
-	e := tag
-	if v {
-		e |= 1
-	}
-	t.l1[idx].Store(e)
-	return v
-}
-
-// canModifyT is canModify with the observation half served from the L1.
-func (k *Kernel) canModifyT(t *thread, thr, obj label.Label) bool {
-	return k.leq(thr, obj) && k.canObserveT(t, thr, obj)
-}
-
-// l1Mix combines the two fingerprints of a CanObserve check into the L1 key.
-// Keying on both sides means a thread-label change simply stops matching old
-// entries — no flush, no generation counter.  The low bit of the mix is
-// sacrificed to store the result, which adds one bit to the (already
-// accepted) fingerprint-collision odds.
-func l1Mix(thrRaised, obj label.Fingerprint) uint64 {
-	return (uint64(obj) ^ bits.RotateLeft64(uint64(thrRaised), 31)) * 0x9e3779b97f4a7c15
-}
-
-// LabelCacheStats returns hit/miss/eviction counts of the immutable-label
-// comparison cache, totalled and per shard.
-func (k *Kernel) LabelCacheStats() label.CacheStats { return k.labelCache.Stats() }
-
 // StorageIntegrity is the persistent storage layer's corruption accounting
 // as surfaced through kernel stats: detections, quarantines, scrub
 // progress, and whether the last mount had to take a recovery fallback.
@@ -609,7 +520,7 @@ func (k *Kernel) peek(ctx tctx, ce CEnt) (*container, object, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if !k.canObserveT(ctx.t, ctx.lbl, cont.lbl) {
+	if !label.CanObserve(ctx.lbl, cont.lbl) {
 		return nil, nil, ErrLabel
 	}
 	if ce.Object == ce.Container {
@@ -666,19 +577,19 @@ func (k *Kernel) BootThread(lbl, clearance label.Label, descrip string) (*Thread
 		header: header{
 			id:      k.newID(),
 			objType: ObjThread,
-			lbl:     label.Intern(lbl),
+			lbl:     lbl,
 			quota:   1 << 20,
 			descrip: truncDescrip(descrip),
 			refs:    1,
 		},
-		clearance: label.Intern(clearance),
+		clearance: clearance,
 		alertCh:   make(chan struct{}, 1),
 	}
 	t.localSegment = &segment{
 		header: header{
 			id:      k.newID(),
 			objType: ObjSegment,
-			lbl:     label.Intern(lbl.LowerStar()),
+			lbl:     lbl.LowerStar(),
 			quota:   localSegmentSize,
 			descrip: "thread-local segment",
 		},
@@ -762,8 +673,6 @@ func (k *Kernel) deallocLocked(o object) []ID {
 		v.order = nil
 	case *thread:
 		v.halted = true
-		k.retired.hits.Add(v.l1Hits.Load())
-		k.retired.misses.Add(v.l1Misses.Load())
 	case *device:
 		// nothing extra
 	}
@@ -837,50 +746,18 @@ func (k *Kernel) Describe(id ID) (string, error) {
 		h.id, h.objType, h.descrip, h.lbl.Format(k.cats), h.quota, h.usage, h.refs), nil
 }
 
-// ThreadL1Stat describes one live thread's per-thread label-cache L1.
-type ThreadL1Stat struct {
-	ID      ID
-	Descrip string
-	Hits    uint64
-	Misses  uint64
+// LabelCheckStats is a hit/miss count of a retired label-caching layer.
+type LabelCheckStats struct {
+	Hits   uint64
+	Misses uint64
 }
 
-// L1Stats aggregates the per-thread canObserve L1 counters: totals across
-// live and deallocated threads, plus the live per-thread breakdown.
-type L1Stats struct {
-	Hits    uint64
-	Misses  uint64
-	Threads []ThreadL1Stat
-}
+// LabelCacheStats always reports zero: label checks run as direct merges and
+// the comparison cache is gone.  It is kept only for perfbench, until a
+// benchmark change drops its label.cache_hit_rate metric.
+func (k *Kernel) LabelCacheStats() LabelCheckStats { return LabelCheckStats{} }
 
-// l1Retired accumulates L1 counters of threads that have been deallocated.
-type l1Retired struct {
-	hits   paddedUint64
-	misses paddedUint64
-}
-
-// LabelL1Stats returns the per-thread L1 hit/miss statistics.
-func (k *Kernel) LabelL1Stats() L1Stats {
-	st := L1Stats{Hits: k.retired.hits.Load(), Misses: k.retired.misses.Load()}
-	for i := range k.shards {
-		s := &k.shards[i]
-		s.mu.RLock()
-		for _, o := range s.m {
-			t, ok := o.(*thread)
-			if !ok || t.dead.Load() {
-				continue
-			}
-			ts := ThreadL1Stat{
-				ID:      t.id,
-				Descrip: t.descrip,
-				Hits:    t.l1Hits.Load(),
-				Misses:  t.l1Misses.Load(),
-			}
-			st.Hits += ts.Hits
-			st.Misses += ts.Misses
-			st.Threads = append(st.Threads, ts)
-		}
-		s.mu.RUnlock()
-	}
-	return st
-}
+// LabelL1Stats always reports zero: threads no longer carry a label-check
+// L1.  It is kept only for perfbench, until a benchmark change drops its
+// label.l1_hit_rate metric.
+func (k *Kernel) LabelL1Stats() LabelCheckStats { return LabelCheckStats{} }

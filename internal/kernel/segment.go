@@ -28,7 +28,7 @@ func (tc *ThreadCall) SegmentCreate(d ID, l label.Label, descrip string, nbytes 
 	if cont.avoidTypes.Has(ObjSegment) {
 		return NilID, ErrAvoidType
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, cont.lbl) {
+	if !label.CanModify(ctx.lbl, cont.lbl) {
 		return NilID, ErrLabel
 	}
 	if !label.CanAllocate(ctx.lbl, ctx.clearance, l) {
@@ -39,7 +39,7 @@ func (tc *ThreadCall) SegmentCreate(d ID, l label.Label, descrip string, nbytes 
 		header: header{
 			id:      tc.k.newID(),
 			objType: ObjSegment,
-			lbl:     label.Intern(l),
+			lbl:     l,
 			quota:   quota,
 			descrip: truncDescrip(descrip),
 			refs:    1,
@@ -85,7 +85,7 @@ func (tc *ThreadCall) SegmentCopy(src CEnt, d ID, l label.Label, descrip string)
 	if !ok {
 		return NilID, ErrWrongType
 	}
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, seg.lbl) {
+	if !label.CanObserve(ctx.lbl, seg.lbl) {
 		return NilID, ErrLabel
 	}
 	cont, err := tc.k.lookupContainer(d)
@@ -95,7 +95,7 @@ func (tc *ThreadCall) SegmentCopy(src CEnt, d ID, l label.Label, descrip string)
 	if cont.avoidTypes.Has(ObjSegment) {
 		return NilID, ErrAvoidType
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, cont.lbl) {
+	if !label.CanModify(ctx.lbl, cont.lbl) {
 		return NilID, ErrLabel
 	}
 	if !label.CanAllocate(ctx.lbl, ctx.clearance, l) {
@@ -120,7 +120,7 @@ func (tc *ThreadCall) SegmentCopy(src CEnt, d ID, l label.Label, descrip string)
 		header: header{
 			id:      tc.k.newID(),
 			objType: ObjSegment,
-			lbl:     label.Intern(l),
+			lbl:     l,
 			quota:   quota,
 			descrip: truncDescrip(descrip),
 			refs:    1,
@@ -154,7 +154,7 @@ func (tc *ThreadCall) checkSegmentRead(ctx tctx, seg *segment) error {
 	if seg.threadLocalOwner != NilID && seg.threadLocalOwner == ctx.t.id {
 		return nil
 	}
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, seg.lbl) {
+	if !label.CanObserve(ctx.lbl, seg.lbl) {
 		return ErrLabel
 	}
 	return nil
@@ -169,7 +169,7 @@ func (tc *ThreadCall) checkSegmentWrite(ctx tctx, seg *segment) error {
 		}
 		return ErrLabel
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, seg.lbl) {
+	if !label.CanModify(ctx.lbl, seg.lbl) {
 		return ErrLabel
 	}
 	return nil

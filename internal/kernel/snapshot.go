@@ -374,7 +374,7 @@ func (tc *ThreadCall) containerSnapshotCtx(ctx tctx, ce CEnt, name string) (Snap
 		// Labels of non-thread objects are immutable; the check needs no
 		// lock and failing it fails the snapshot — a subtree image with
 		// holes would clone incompletely and silently.
-		if !k.canObserveT(ctx.t, ctx.lbl, so.lbl) {
+		if !label.CanObserve(ctx.lbl, so.lbl) {
 			return SnapshotInfo{}, ErrLabel
 		}
 		objs[id] = so
@@ -430,7 +430,7 @@ func (tc *ThreadCall) containerSnapshotCtx(ctx tctx, ce CEnt, name string) (Snap
 }
 
 // remapLabel rewrites a label's categories through remap.  Pairs() returns a
-// copy, so the source (possibly interned) label is never mutated.
+// copy, so the source label is never mutated.
 func remapLabel(l label.Label, remap map[label.Category]label.Category) label.Label {
 	if len(remap) == 0 || l.NumExplicit() == 0 {
 		return l
@@ -489,7 +489,7 @@ func (tc *ThreadCall) containerCloneCtx(ctx tctx, lineage uint64, dst ID, remap 
 	if err != nil {
 		return CloneResult{}, err
 	}
-	if !k.canModifyT(ctx.t, ctx.lbl, dest.lbl) {
+	if !label.CanModify(ctx.lbl, dest.lbl) {
 		return CloneResult{}, ErrLabel
 	}
 
@@ -522,8 +522,8 @@ func (tc *ThreadCall) containerCloneCtx(ctx tctx, lineage uint64, dst ID, remap 
 		if so.typ == ObjGate {
 			// Same bounds GateCreate enforces for the rewritten gate label.
 			gl := remapLabel(so.gateLabel, remap)
-			if !k.leq(ctx.lbl, gl) || !k.leq(gl.LowerStar(), ctx.clearance) ||
-				!k.leq(remapLabel(so.gateClr, remap), ctx.clearance) {
+			if !ctx.lbl.Leq(gl) || !gl.LowerStar().Leq(ctx.clearance) ||
+				!remapLabel(so.gateClr, remap).Leq(ctx.clearance) {
 				return CloneResult{}, ErrLabel
 			}
 		}
@@ -584,8 +584,8 @@ func (tc *ThreadCall) containerCloneCtx(ctx tctx, lineage uint64, dst ID, remap 
 			o = ns
 		case ObjGate:
 			o = &gate{
-				gateLabel:    label.Intern(remapLabel(so.gateLabel, remap)),
-				clearance:    label.Intern(remapLabel(so.gateClr, remap)),
+				gateLabel:    remapLabel(so.gateLabel, remap),
+				clearance:    remapLabel(so.gateClr, remap),
 				addressSpace: remapCE(so.gateAS),
 				entry:        so.entry,
 				closureArgs:  so.closure,
@@ -603,7 +603,7 @@ func (tc *ThreadCall) containerCloneCtx(ctx tctx, lineage uint64, dst ID, remap 
 		h := o.hdr()
 		h.id = idMap[id]
 		h.objType = so.typ
-		h.lbl = label.Intern(labels[id])
+		h.lbl = labels[id]
 		h.quota = so.quota
 		h.fixedQuota = so.fixedQuota
 		h.immutable = so.immutable

@@ -16,8 +16,8 @@ func (tc *ThreadCall) CategoryCreate() (label.Category, error) {
 	c := tc.k.cats.Alloc()
 	t := ctx.t
 	t.mu.Lock()
-	t.lbl = label.Intern(t.lbl.With(c, label.Star))
-	t.clearance = label.Intern(t.clearance.With(c, label.L3))
+	t.lbl = t.lbl.With(c, label.Star)
+	t.clearance = t.clearance.With(c, label.L3)
 	t.bump()
 	t.mu.Unlock()
 	return c, nil
@@ -69,11 +69,11 @@ func (tc *ThreadCall) SelfSetLabel(l label.Label) error {
 	ls := lockOrdered(objLock{t, true}, objLock{t.localSegment, true})
 	defer ls.unlock()
 	// Validate against the thread's label as it is now, under the lock.
-	if !tc.k.leq(t.lbl, l) || !tc.k.leq(l, t.clearance) {
+	if !label.CanRaiseLabelTo(t.lbl, t.clearance, l) {
 		return ErrLabel
 	}
-	t.lbl = label.Intern(l)
-	t.localSegment.lbl = label.Intern(l.LowerStar())
+	t.lbl = l
+	t.localSegment.lbl = l.LowerStar()
 	t.bump()
 	return nil
 }
@@ -93,10 +93,10 @@ func (tc *ThreadCall) SelfSetClearance(c label.Label) error {
 	t := ctx.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !tc.k.leq(t.lbl, c) || !tc.k.leq(c, t.clearance.Join(t.lbl.RaiseJ())) {
+	if !label.CanSetClearanceTo(t.lbl, t.clearance, c) {
 		return ErrLabel
 	}
-	t.clearance = label.Intern(c)
+	t.clearance = c
 	t.bump()
 	return nil
 }
@@ -127,7 +127,7 @@ func (tc *ThreadCall) SelfSetAddressSpace(as CEnt) error {
 	if !ok {
 		return ErrWrongType
 	}
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, a.lbl) {
+	if !label.CanObserve(ctx.lbl, a.lbl) {
 		return ErrLabel
 	}
 	t := ctx.t
@@ -174,11 +174,11 @@ func (tc *ThreadCall) ThreadCreate(d ID, spec ThreadSpec) (ID, error) {
 	if cont.avoidTypes.Has(ObjThread) {
 		return NilID, ErrAvoidType
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, cont.lbl) {
+	if !label.CanModify(ctx.lbl, cont.lbl) {
 		return NilID, ErrLabel
 	}
 	// LT ⊑ LT' ⊑ CT' ⊑ CT.
-	if !tc.k.leq(ctx.lbl, spec.Label) || !tc.k.leq(spec.Label, spec.Clearance) || !tc.k.leq(spec.Clearance, ctx.clearance) {
+	if !ctx.lbl.Leq(spec.Label) || !spec.Label.Leq(spec.Clearance) || !spec.Clearance.Leq(ctx.clearance) {
 		return NilID, ErrLabel
 	}
 	quota := spec.Quota
@@ -189,12 +189,12 @@ func (tc *ThreadCall) ThreadCreate(d ID, spec ThreadSpec) (ID, error) {
 		header: header{
 			id:      tc.k.newID(),
 			objType: ObjThread,
-			lbl:     label.Intern(spec.Label),
+			lbl:     spec.Label,
 			quota:   quota,
 			descrip: truncDescrip(spec.Descrip),
 			refs:    1,
 		},
-		clearance:    label.Intern(spec.Clearance),
+		clearance:    spec.Clearance,
 		addressSpace: spec.AddressSpace,
 		alertCh:      make(chan struct{}, 1),
 	}
@@ -202,7 +202,7 @@ func (tc *ThreadCall) ThreadCreate(d ID, spec ThreadSpec) (ID, error) {
 		header: header{
 			id:      tc.k.newID(),
 			objType: ObjSegment,
-			lbl:     label.Intern(spec.Label.LowerStar()),
+			lbl:     spec.Label.LowerStar(),
 			quota:   localSegmentSize,
 			descrip: "thread-local segment",
 		},
@@ -284,7 +284,7 @@ func (tc *ThreadCall) ThreadAlert(target CEnt, code uint64) error {
 		return ErrNoSuchObject
 	}
 	// Observe the target thread (its label is read under its lock).
-	if !tc.k.canObserve(ctx.lbl, victim.lbl) {
+	if !label.CanObserve(ctx.lbl, victim.lbl) {
 		ls.unlock()
 		return ErrLabel
 	}
@@ -301,14 +301,14 @@ func (tc *ThreadCall) ThreadAlert(target CEnt, code uint64) error {
 			return ErrWrongType
 		}
 		// Address-space labels are immutable; no lock on it needed.
-		if !tc.k.canModifyT(ctx.t, ctx.lbl, as.lbl) {
+		if !label.CanModify(ctx.lbl, as.lbl) {
 			ls.unlock()
 			return ErrLabel
 		}
 	} else {
 		// No address space: fall back to requiring write permission on the
 		// thread object itself.
-		if !tc.k.canModify(ctx.lbl, victim.lbl) {
+		if !label.CanModify(ctx.lbl, victim.lbl) {
 			ls.unlock()
 			return ErrLabel
 		}
@@ -432,8 +432,8 @@ func (tc *ThreadCall) GrantOwnership(target ID, c label.Category) error {
 	if !liveLocked(vt) {
 		return ErrNoSuchObject
 	}
-	vt.lbl = label.Intern(vt.lbl.With(c, label.Star))
-	vt.clearance = label.Intern(vt.clearance.With(c, label.L3))
+	vt.lbl = vt.lbl.With(c, label.Star)
+	vt.clearance = vt.clearance.With(c, label.L3)
 	vt.bump()
 	return nil
 }

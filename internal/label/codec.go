@@ -43,7 +43,7 @@ func DecodeBinary(src []byte) (Label, []byte, error) {
 	}
 	src = src[1:]
 	n, sz := binary.Uvarint(src)
-	if sz <= 0 {
+	if sz <= 0 || (sz > 1 && src[sz-1] == 0) { // overflow, truncation or an overlong form
 		return Label{}, src, fmt.Errorf("label: bad entry count")
 	}
 	src = src[sz:]

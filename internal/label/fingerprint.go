@@ -1,9 +1,8 @@
 package label
 
-// Fingerprint is a compact identity for an immutable label, used as a cache
-// key.  Labels with the same fingerprint are Equal with overwhelming
-// probability; the kernel only caches comparisons between labels of
-// immutable objects, exactly as Section 4 describes.
+// Fingerprint is a compact identity for an immutable label, used as a map
+// key by the store's label index and by ContainerFindLabeled.  Labels with
+// the same fingerprint are Equal with overwhelming probability.
 //
 // A fingerprint is the FNV-1a digest of the label's canonical form (the
 // default level followed by the sorted category/level pairs).  Because the
@@ -28,20 +27,12 @@ func fnvU64(h uint64, v uint64) uint64 {
 	return h
 }
 
-// fingerprintCanonical digests a canonical pair slice under the level
-// mapping f.  Entries whose mapped level equals the mapped default are
-// elided so the digest equals the fingerprint of the mapped label's
-// canonical form; with the identity mapping no elision ever occurs.
-func fingerprintCanonical(def Level, pairs []Pair, f func(Level) Level) Fingerprint {
-	mdef := f(def)
-	h := fnvByte(fnvOffset64, byte(mdef))
+// fingerprintCanonical digests a canonical pair slice.
+func fingerprintCanonical(def Level, pairs []Pair) Fingerprint {
+	h := fnvByte(fnvOffset64, byte(def))
 	for _, p := range pairs {
-		lv := f(p.Level)
-		if lv == mdef {
-			continue
-		}
 		h = fnvU64(h, uint64(p.Category))
-		h = fnvByte(h, byte(lv))
+		h = fnvByte(h, byte(p.Level))
 	}
 	return Fingerprint(h)
 }
@@ -52,15 +43,5 @@ func (l Label) Fingerprint() Fingerprint {
 	if l.fp != 0 {
 		return l.fp
 	}
-	return fingerprintCanonical(l.def, l.pairs, levelIdentity)
-}
-
-// RaisedFingerprint returns the fingerprint of the superscript-J form Lᴶ,
-// precomputed at construction.  The cached access checks key on it directly,
-// so a CanObserve cache hit never materializes Lᴶ.
-func (l Label) RaisedFingerprint() Fingerprint {
-	if l.fpJ != 0 {
-		return l.fpJ
-	}
-	return fingerprintCanonical(l.def, l.pairs, levelRaiseJ)
+	return fingerprintCanonical(l.def, l.pairs)
 }

@@ -18,21 +18,29 @@
 // and no entry whose level equals the default.  Two labels denoting the same
 // function therefore have byte-identical canonical forms, and the 64-bit
 // Fingerprint of that form is computed exactly once, at construction, and
-// stored in the label.  The raised fingerprint (the fingerprint of the
-// superscript-J form Lᴶ) is precomputed alongside it, so the cached access
-// checks never hash, sort, or even materialize Lᴶ on a cache hit.
+// stored in the label; the store's label index keys on it.
 //
-// Because the representation is canonical, Leq, Join and Meet are
-// linear-time merges over the two sorted slices: Leq allocates nothing, and
-// Join/Meet allocate only the single output slice.
+// # Label checks
+//
+// Every ⊑-based check — Leq, LeqRaised, CanObserve, CanModify, CanAllocate,
+// CanRaiseLabelTo and CanSetClearanceTo — runs on one linear merge over the
+// two canonical slices.  The merge takes a per-side flag that reads ⋆ as J,
+// so the checks that compare against a superscript-J form (threadᴶ in
+// CanObserve and CanModify, both sides in LeqRaised) never build it and
+// allocate nothing however many categories the thread owns.  Only
+// CanSetClearanceTo allocates: it builds clr ⊔ curᴶ in one Join-shaped merge
+// that reads cur's ⋆ as J, again without building curᴶ.  The paper's kernel
+// caches comparisons between immutable labels (Section 4) because its C
+// labels were costly to compare; a merge over a handful of sorted pairs is
+// cheaper than any cache lookup, so this package keeps no cache.  Join and
+// Meet are merges of the same shape that allocate only the output slice;
+// GateMinLeq, which compares a combination of three labels, is a three-way
+// merge of its own.
 //
 // The package provides the ⊑ partial order (Leq), the lattice join ⊔ (Join)
 // and meet ⊓ (Meet), the superscript-J and superscript-⋆ operators that
 // shift ownership between its low and high readings, and the derived access
-// checks used throughout the kernel (CanObserve, CanModify, CanAllocate,
-// CanRaiseLabelTo, CanSetClearanceTo).  Hot labels can additionally be
-// interned (Intern) so that equal labels share one canonical backing array
-// and compare by pointer; see intern.go.
+// checks used throughout the kernel.
 package label
 
 import (
@@ -107,17 +115,15 @@ func (l Level) Int() int {
 // Label is an immutable mapping from categories to levels with a default
 // level for all unlisted categories.  The explicit pairs are stored in
 // canonical form (sorted by category, levels differing from the default) and
-// the fingerprints of the label and of its superscript-J form are computed
-// once at construction.  The zero value denotes the empty ⋆-default label
-// and is used by callers as a "use the default label" sentinel; use New or
-// Parse to build meaningful labels.  Labels are value types: operations
+// the label's fingerprint is computed once at construction.  The zero value
+// denotes the empty ⋆-default label and is used by callers as a "use the
+// default label" sentinel; use New or Parse to build meaningful labels.  Labels are value types: operations
 // return new labels and never mutate their receivers, so a Label may be
 // shared freely between goroutines.
 type Label struct {
 	def   Level
 	pairs []Pair // canonical: ascending category, no level == def
 	fp    Fingerprint
-	fpJ   Fingerprint // fingerprint of RaiseJ() form
 }
 
 // Pair is an explicit category/level entry used when constructing labels.
@@ -131,7 +137,7 @@ func P(c Category, l Level) Pair { return Pair{Category: c, Level: l} }
 
 // newCanonical wraps an already-canonical pair slice (sorted by ascending
 // category, unique categories, no level equal to def) into a Label,
-// computing both fingerprints.  The slice is owned by the new label and must
+// computing its fingerprint.  The slice is owned by the new label and must
 // not be mutated afterwards.
 func newCanonical(def Level, pairs []Pair) Label {
 	if len(pairs) == 0 {
@@ -140,16 +146,26 @@ func newCanonical(def Level, pairs []Pair) Label {
 	return Label{
 		def:   def,
 		pairs: pairs,
-		fp:    fingerprintCanonical(def, pairs, levelIdentity),
-		fpJ:   fingerprintCanonical(def, pairs, levelRaiseJ),
+		fp:    fingerprintCanonical(def, pairs),
 	}
 }
+
+// emptyLabels holds the canonical instances of the four pair-free labels
+// {0}, {1}, {2}, {3}; New with no pairs always returns one of these.
+var emptyLabels = [HiStar]Label{
+	L0: newCanonical(L0, nil),
+	L1: newCanonical(L1, nil),
+	L2: newCanonical(L2, nil),
+	L3: newCanonical(L3, nil),
+}
+
+func emptyLabel(def Level) Label { return emptyLabels[def] }
 
 // New returns a label with the given default level and explicit
 // category/level pairs.  Pairs whose level equals the default are elided and
 // duplicate categories keep the last occurrence, so that equal labels have
-// identical canonical representations.  Labels with no explicit pairs are
-// interned: New(L1) always returns the same backing representation.
+// identical canonical representations.  Labels with no explicit pairs share
+// one canonical instance per default level.
 func New(def Level, pairs ...Pair) Label {
 	if !def.Valid() || def == HiStar {
 		panic(fmt.Sprintf("label: invalid default level %v", def))
@@ -295,11 +311,8 @@ func (l Label) WithDefault(def Level) Label {
 
 // Equal reports whether two labels denote the same function.  Because the
 // representation is canonical, this is a default-level comparison plus a
-// pairwise slice comparison; interned labels short-circuit via Same.
+// pairwise slice comparison.
 func (l Label) Equal(m Label) bool {
-	if Same(l, m) {
-		return true
-	}
 	if l.def != m.def || len(l.pairs) != len(m.pairs) {
 		return false
 	}
@@ -309,16 +322,6 @@ func (l Label) Equal(m Label) bool {
 		}
 	}
 	return true
-}
-
-// Same reports whether l and m share the identical canonical backing (the
-// pointer-comparable fast path for interned labels).  Same(l, m) implies
-// Equal(l, m); the converse holds only for interned labels.
-func Same(l, m Label) bool {
-	if l.def != m.def || len(l.pairs) != len(m.pairs) {
-		return false
-	}
-	return len(l.pairs) == 0 || &l.pairs[0] == &m.pairs[0]
 }
 
 // HasStar reports whether the label maps any category to ⋆ (ownership).
@@ -379,8 +382,6 @@ func (l Label) LowerStar() Label {
 	return l.mapLevels(levelLowerStar)
 }
 
-func levelIdentity(lv Level) Level { return lv }
-
 func levelRaiseJ(lv Level) Level {
 	if lv == Star {
 		return HiStar
@@ -410,10 +411,22 @@ func (l Label) mapLevels(f func(Level) Level) Label {
 }
 
 // Leq reports the ⊑ relation: l ⊑ m iff for every category c,
-// l(c) ≤ m(c) in the order ⋆ < 0 < 1 < 2 < 3 < J.  It is a single linear
-// merge over the two canonical slices and allocates nothing.
-func (l Label) Leq(m Label) bool {
-	if l.def > m.def {
+// l(c) ≤ m(c) in the order ⋆ < 0 < 1 < 2 < 3 < J.  It allocates nothing.
+func (l Label) Leq(m Label) bool { return leq(l, false, m, false) }
+
+// LeqRaised reports lᴶ ⊑ mᴶ without building either superscript-J form.
+// The kernel uses it for thread-to-thread observation checks.
+func (l Label) LeqRaised(m Label) bool { return leq(l, true, m, true) }
+
+// leq is the one comparison merge behind every ⊑-based check: it reports
+// l ⊑ m, reading ⋆ as J in l when lj is set and in m when mj is set.  Reading
+// pointwise gives the same answer as comparing the materialized Lᴶ forms,
+// because ⊑ is pointwise and the canonical elision of default-level entries
+// does not change the function a label denotes.  It is a single linear merge
+// over the two canonical slices and allocates nothing.
+func leq(l Label, lj bool, m Label, mj bool) bool {
+	ld, md := readAs(l.def, lj), readAs(m.def, mj)
+	if ld > md {
 		return false
 	}
 	lp, mp := l.pairs, m.pairs
@@ -421,17 +434,17 @@ func (l Label) Leq(m Label) bool {
 	for i < len(lp) && j < len(mp) {
 		switch {
 		case lp[i].Category < mp[j].Category:
-			if lp[i].Level > m.def {
+			if readAs(lp[i].Level, lj) > md {
 				return false
 			}
 			i++
 		case lp[i].Category > mp[j].Category:
-			if l.def > mp[j].Level {
+			if ld > readAs(mp[j].Level, mj) {
 				return false
 			}
 			j++
 		default:
-			if lp[i].Level > mp[j].Level {
+			if readAs(lp[i].Level, lj) > readAs(mp[j].Level, mj) {
 				return false
 			}
 			i++
@@ -439,16 +452,24 @@ func (l Label) Leq(m Label) bool {
 		}
 	}
 	for ; i < len(lp); i++ {
-		if lp[i].Level > m.def {
+		if readAs(lp[i].Level, lj) > md {
 			return false
 		}
 	}
 	for ; j < len(mp); j++ {
-		if l.def > mp[j].Level {
+		if ld > readAs(mp[j].Level, mj) {
 			return false
 		}
 	}
 	return true
+}
+
+// readAs returns lv, read as J when raised is set and lv is ⋆.
+func readAs(lv Level, raised bool) Level {
+	if raised && lv == Star {
+		return HiStar
+	}
+	return lv
 }
 
 // Join returns the least upper bound l ⊔ m: pointwise maximum of levels.
@@ -508,6 +529,9 @@ func minLevel(a, b Level) Level {
 	return b
 }
 
+// maxRaisedRight is the pointwise level of l ⊔ mᴶ.
+func maxRaisedRight(l, m Level) Level { return maxLevel(l, levelRaiseJ(m)) }
+
 // String renders the label in the paper's notation, e.g. {br*, v3, 1}.
 // Categories are printed as cN where N is the category identifier, unless a
 // name has been registered with the category allocator that produced them;
@@ -542,16 +566,16 @@ func (l Label) Format(n Namer) string {
 // ---------------------------------------------------------------------------
 
 // CanObserve reports whether a thread labeled thread may observe (read) an
-// object labeled obj: obj ⊑ threadᴶ ("no read up").
+// object labeled obj: obj ⊑ threadᴶ ("no read up").  It allocates nothing.
 func CanObserve(thread, obj Label) bool {
-	return obj.Leq(thread.RaiseJ())
+	return leq(obj, false, thread, true)
 }
 
 // CanModify reports whether a thread labeled thread may modify an object
 // labeled obj, which in HiStar implies observing it:
-// thread ⊑ obj ⊑ threadᴶ ("no write down").
+// thread ⊑ obj ⊑ threadᴶ ("no write down").  It allocates nothing.
 func CanModify(thread, obj Label) bool {
-	return thread.Leq(obj) && obj.Leq(thread.RaiseJ())
+	return leq(thread, false, obj, false) && leq(obj, false, thread, true)
 }
 
 // CanAllocate reports whether a thread with label thread and clearance clr
@@ -568,9 +592,10 @@ func CanRaiseLabelTo(cur, clr, next Label) bool {
 
 // CanSetClearanceTo reports whether a thread with label cur and clearance
 // clr may change its clearance to next: cur ⊑ next ⊑ (clr ⊔ curᴶ)
-// (self_set_clearance).
+// (self_set_clearance).  The bound clr ⊔ curᴶ is built directly, without
+// building curᴶ.
 func CanSetClearanceTo(cur, clr, next Label) bool {
-	return cur.Leq(next) && next.Leq(clr.Join(cur.RaiseJ()))
+	return cur.Leq(next) && next.Leq(clr.merge(cur, maxRaisedRight))
 }
 
 // MinObserveLabel returns the lowest label a thread labeled cur must raise
@@ -668,3 +693,13 @@ func ValidClearance(c Label) bool {
 	}
 	return true
 }
+
+// InternStats is the interning-table occupancy perfbench reads.
+type InternStats struct {
+	Count int
+}
+
+// InternStatsSnapshot always reports zero: labels are no longer interned.
+// It is kept only for perfbench, until a benchmark change drops its
+// label.intern_count metric.
+func InternStatsSnapshot() InternStats { return InternStats{} }

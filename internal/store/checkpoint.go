@@ -63,14 +63,12 @@ func (s *Store) Checkpoint() error {
 
 // sealedEntry is one entry captured by the seal: a dirty object whose
 // sealed contents must be written home, or a dead object whose extent must
-// be vacated.  done marks entries the body has finished with, so a failed
-// body re-dirties only what was actually lost.
+// be vacated.
 type sealedEntry struct {
 	id   uint64
 	e    *objEntry
 	data []byte // aliases the COW contents slice sealed for this epoch
 	dead bool
-	done bool
 }
 
 // sealedLabel is one (id, label) pair captured at seal time; the metadata
@@ -209,20 +207,23 @@ func (s *Store) sealCheckpoint() (*sealedState, error) {
 	return ss, nil
 }
 
-// restoreSealed undoes a seal whose checkpoint failed: sealed-dirty entries
-// the body had not yet relocated become dirty again, so no sealed state is
-// lost and the next checkpoint retries them.  Entries deleted or re-written
-// concurrently keep their newer state.
+// restoreSealed undoes a seal whose checkpoint failed: every sealed-dirty
+// entry becomes dirty again with its sealed contents, so no sealed state is
+// lost and the next checkpoint retries it.  That includes entries the body
+// already relocated: no committed snapshot references their new extents, so
+// until a checkpoint commits, SyncObject must log them like any other dirty
+// object — and one evicted since relocation gets its sealed contents back to
+// log.  Entries deleted or re-written concurrently keep their newer state.
 func (s *Store) restoreSealed(ss *sealedState) {
 	for i := range ss.entries {
 		se := &ss.entries[i]
-		if se.done || se.dead {
+		if se.dead {
 			continue
 		}
 		se.e.mu.Lock()
 		se.e.ckpt = false
-		if !se.e.dead {
-			se.e.dirty = true
+		if !se.e.dead && !se.e.dirty {
+			se.e.data, se.e.cached, se.e.dirty = se.data, true, true
 		}
 		se.e.mu.Unlock()
 	}
@@ -324,7 +325,6 @@ func (s *Store) relocateSealed(ss *sealedState) error {
 				s.vacateExtent(int64(off), size)
 			}
 			s.metaMu.Unlock()
-			se.done = true
 			continue
 		}
 		newOff, err := s.writeObjectHome(se.data)
@@ -347,7 +347,6 @@ func (s *Store) relocateSealed(ss *sealedState) error {
 		se.e.quar = false
 		se.e.mu.Unlock()
 		s.c.bytesHome.Add(uint64(len(se.data)))
-		se.done = true
 	}
 	return nil
 }

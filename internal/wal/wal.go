@@ -399,20 +399,21 @@ func (l *Log) AppendMark(epoch uint64) error {
 // find the generation boundary), then the region is physically compacted if
 // the live suffix fits inside the dead prefix.  When no marker for epoch is
 // known the log is left untouched apart from a compaction attempt — never
-// guess a reclaim boundary.
+// guess a reclaim boundary.  If the header write fails the in-memory state
+// is left as it was, matching the header still on disk.
 func (l *Log) ReclaimBefore(epoch uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	off, ok := l.markOffs[epoch]
 	if ok && off > l.reclaimOff {
+		if err := l.writeHeader(l.tail-logHeaderSize, off); err != nil {
+			return err
+		}
 		l.reclaimOff = off
 		for e, o := range l.markOffs {
 			if o < off {
 				delete(l.markOffs, e)
 			}
-		}
-		if err := l.writeHeader(l.tail-logHeaderSize, l.reclaimOff); err != nil {
-			return err
 		}
 		l.reclaims++
 	}
@@ -423,7 +424,8 @@ func (l *Log) ReclaimBefore(epoch uint64) error {
 // live suffix to the front of the region, but only when the two do not
 // overlap: the copy then lands entirely inside bytes the on-disk header no
 // longer references, so a crash at any point leaves the old header's view
-// intact and the final header write switches over atomically.  The caller
+// intact and the final header write switches over atomically.  The
+// in-memory offsets move only once that header write succeeds.  The caller
 // holds l.mu.
 func (l *Log) compactLocked() error {
 	live := l.tail - logHeaderSize - l.reclaimOff
@@ -444,14 +446,14 @@ func (l *Log) compactLocked() error {
 			return err
 		}
 	}
+	if err := l.writeHeader(live, 0); err != nil {
+		return err
+	}
 	shift := l.reclaimOff
 	l.reclaimOff = 0
 	l.tail -= shift
 	for e := range l.markOffs {
 		l.markOffs[e] -= shift
-	}
-	if err := l.writeHeader(l.tail-logHeaderSize, 0); err != nil {
-		return err
 	}
 	l.compactions++
 	return nil

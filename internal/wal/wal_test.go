@@ -660,3 +660,92 @@ func TestCompactionCrashAtEveryWriteBoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedHeaderWriteLeavesStateUnchanged fails the header write of a
+// reclaim, and separately the final header write of a compaction, and checks
+// that the log's in-memory view still matches the header on disk: LiveBytes
+// and CommittedBytes are unchanged, a reopen recovers the same view with the
+// same replay start, and a retry once the device recovers completes the
+// operation.
+func TestFailedHeaderWriteLeavesStateUnchanged(t *testing.T) {
+	setup := func() (*Log, *disk.FaultDisk) {
+		fd := disk.NewFaultDisk(disk.New(disk.Params{Sectors: 1 << 8}, &vclock.Clock{}))
+		l, err := New(fd, 0, 1<<16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		commitRecord(t, l, 1, make([]byte, 4000))
+		if err := l.AppendMark(1); err != nil {
+			t.Fatal(err)
+		}
+		commitRecord(t, l, 2, []byte("live"))
+		return l, fd
+	}
+	// Learn the write boundaries of a successful reclaim: the reclaim's
+	// header, the compaction's copy, then the compaction's header.
+	l, fd := setup()
+	fd.Arm(-1, disk.FaultOmit)
+	if err := l.ReclaimBefore(1); err != nil {
+		t.Fatal(err)
+	}
+	bounds := fd.WriteBounds()
+	if len(bounds) != 3 || l.Stats().Compactions != 1 {
+		t.Fatalf("setup: write bounds %v, compactions %d", bounds, l.Stats().Compactions)
+	}
+
+	for _, tc := range []struct {
+		name      string
+		limit     int64 // bytes written before the failing header write
+		reclaimed bool  // whether the reclaim's own header reached the disk
+	}{
+		{"reclaim header", 0, false},
+		{"compaction header", bounds[1], true},
+	} {
+		l, fd := setup()
+		committed, live := l.CommittedBytes(), l.LiveBytes()
+		if tc.reclaimed {
+			live -= encodedSize(Record{ObjectID: 1, Data: make([]byte, 4000)})
+		}
+		fd.Arm(tc.limit, disk.FaultOmit)
+		if err := l.ReclaimBefore(1); !errors.Is(err, disk.ErrFault) {
+			t.Fatalf("%s: ReclaimBefore = %v, want the injected fault", tc.name, err)
+		}
+		if l.CommittedBytes() != committed || l.LiveBytes() != live {
+			t.Fatalf("%s: committed=%d live=%d after the failure, want %d and %d",
+				tc.name, l.CommittedBytes(), l.LiveBytes(), committed, live)
+		}
+		if st := l.Stats(); st.Compactions != 0 {
+			t.Fatalf("%s: a failed compaction was counted", tc.name)
+		}
+		reopen := func(wantRecs int) {
+			t.Helper()
+			l2 := Open(fd.Inner(), 0, 1<<16)
+			recs, err := l2.Recover()
+			if err != nil || len(recs) != wantRecs {
+				t.Fatalf("%s: reopen recovered ids %v, %v; want %d records", tc.name, recordIDs(recs), err, wantRecs)
+			}
+			if l2.LiveBytes() != l.LiveBytes() {
+				t.Fatalf("%s: reopened live=%d, in-memory live=%d", tc.name, l2.LiveBytes(), l.LiveBytes())
+			}
+			if idx, ok := l2.ReplayStart(1); !ok || recs[idx].ObjectID != 2 {
+				t.Fatalf("%s: reopened ReplayStart(1) = %d, %v", tc.name, idx, ok)
+			}
+		}
+		wantRecs := 3
+		if tc.reclaimed {
+			wantRecs = 2
+		}
+		reopen(wantRecs)
+
+		fd.Arm(-1, disk.FaultOmit)
+		if err := l.ReclaimBefore(1); err != nil {
+			t.Fatalf("%s: retry: %v", tc.name, err)
+		}
+		if st := l.Stats(); st.Reclaims != 1 || st.Compactions != 1 || l.CommittedBytes() != l.LiveBytes() {
+			t.Fatalf("%s: retry left reclaims=%d compactions=%d committed=%d live=%d",
+				tc.name, st.Reclaims, st.Compactions, l.CommittedBytes(), l.LiveBytes())
+		}
+		commitRecord(t, l, 3, []byte("after"))
+		reopen(3)
+	}
+}

@@ -12,7 +12,6 @@ import (
 
 	"histar/internal/auth"
 	"histar/internal/kernel"
-	"histar/internal/label"
 	"histar/internal/netsim"
 	"histar/internal/unixlib"
 	"histar/internal/vclock"
@@ -58,9 +57,6 @@ type LoadConfig struct {
 	GoldenImage bool
 	// Seed drives both the kernel and the traffic mix.
 	Seed int64
-	// LabelCacheEntries sizes the kernel's label comparison cache (0 =
-	// default).
-	LabelCacheEntries int
 	// Server configures the web server under test; set
 	// Server.DisableSessionCache for the per-request-login baseline.
 	Server Config
@@ -122,14 +118,9 @@ type LoadReport struct {
 	SnapCopiedBytes uint64 `json:"snap_copied_bytes"`
 	SnapCowBreaks   uint64 `json:"snap_cow_breaks"`
 
-	RingWaits        uint64 `json:"ring_waits"`
-	RingGateCalls    uint64 `json:"ring_gate_calls"`
-	RingEntries      uint64 `json:"ring_entries"`
-	LabelCacheHits   uint64 `json:"label_cache_hits"`
-	LabelCacheMisses uint64 `json:"label_cache_misses"`
-	LabelCacheEvicts uint64 `json:"label_cache_evictions"`
-	InternCount      int    `json:"intern_count"`
-	InternEvictions  uint64 `json:"intern_evictions"`
+	RingWaits     uint64 `json:"ring_waits"`
+	RingGateCalls uint64 `json:"ring_gate_calls"`
+	RingEntries   uint64 `json:"ring_entries"`
 
 	WireBytes     uint64  `json:"wire_bytes"`
 	SimWireMillis float64 `json:"sim_wire_millis"`
@@ -145,10 +136,7 @@ func loadUser(i int) (name, password string) {
 // clients over a simulated Ethernet link.
 func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	cfg = cfg.withDefaults()
-	sys, err := unixlib.Boot(unixlib.BootOptions{KernelConfig: kernel.Config{
-		Seed:              uint64(cfg.Seed),
-		LabelCacheEntries: cfg.LabelCacheEntries,
-	}})
+	sys, err := unixlib.Boot(unixlib.BootOptions{KernelConfig: kernel.Config{Seed: uint64(cfg.Seed)}})
 	if err != nil {
 		return nil, err
 	}
@@ -225,8 +213,6 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	}
 
 	sys.Kern.ResetRingStats()
-	lc0 := sys.Kern.LabelCacheStats()
-	in0 := label.InternStatsSnapshot()
 	ss0 := srv.SessionStats()
 
 	var (
@@ -304,8 +290,6 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	}
 	ring := sys.Kern.RingStats()
 	snap := sys.Kern.SnapshotStats()
-	lc := sys.Kern.LabelCacheStats()
-	in := label.InternStatsSnapshot()
 	bytesAB, bytesBA, _, _ := link.Stats()
 
 	return &LoadReport{
@@ -334,14 +318,9 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		SnapCopiedBytes: snap.CopiedBytes,
 		SnapCowBreaks:   snap.CowBreaks,
 
-		RingWaits:        ring.Waits,
-		RingGateCalls:    ring.GateCalls,
-		RingEntries:      ring.Entries,
-		LabelCacheHits:   lc.Hits - lc0.Hits,
-		LabelCacheMisses: lc.Misses - lc0.Misses,
-		LabelCacheEvicts: lc.Evictions - lc0.Evictions,
-		InternCount:      in.Count,
-		InternEvictions:  in.Evictions - in0.Evictions,
+		RingWaits:     ring.Waits,
+		RingGateCalls: ring.GateCalls,
+		RingEntries:   ring.Entries,
 
 		WireBytes:     bytesAB + bytesBA,
 		SimWireMillis: float64(clock.Now()) / float64(time.Millisecond),
