@@ -466,8 +466,8 @@ func leq(l Label, lj bool, m Label, mj bool) bool {
 
 // readAs returns lv, read as J when raised is set and lv is ⋆.
 func readAs(lv Level, raised bool) Level {
-	if raised && lv == Star {
-		return HiStar
+	if raised {
+		return levelRaiseJ(lv)
 	}
 	return lv
 }
