@@ -322,7 +322,7 @@ func ringRun(r *Report) {
 	}
 
 	// Fan-out: one PwritevFsync over nFiles dirty files — one ring batch of
-	// writes+read-backs, one SyncObjects group, dense WAL batches.
+	// writes, one SyncObjects group, dense WAL batches.
 	fds := make([]int, nFiles)
 	ops := make([]unixlib.WriteOp, nFiles)
 	for i := range fds {

@@ -15,13 +15,16 @@
 // keeps no comparison cache.  The single-level store persists labels in the
 // same canonical serialized form.
 //
-// The single-level store (internal/store) makes labels first-class durable
-// state: every SyncObject log record carries the object's contents and
-// canonical label in one atomic commit (see the internal/wal package
-// comment for the versioned record format), checkpoints are copy-on-write
-// so a torn write can never corrupt the referenced snapshot, and a
-// fingerprint-keyed B+-tree index answers "every object tainted by
-// category c" scans — Store.ObjectsWithLabel, surfaced in the kernel as
+// The single-level store (internal/store) takes a file's bytes from the
+// kernel's segment only when it needs them: a write just marks the file,
+// and the store copies the segment in at an fsync (one ring OpSync) and
+// before a checkpoint's seal.  It makes labels first-class durable state:
+// every SyncObject log record carries the object's contents and canonical
+// label in one atomic commit (see the internal/wal package comment for the
+// versioned record format), checkpoints are copy-on-write so a torn write
+// can never corrupt the referenced snapshot, and a fingerprint-keyed
+// B+-tree index answers "every object tainted by category c" scans —
+// Store.ObjectsWithLabel, surfaced in the kernel as
 // container_find_labeled — without deserializing a single label.  The store
 // runs concurrently under the same discipline as the kernel: the object
 // cache, label map, and fingerprint index are sharded by object-ID bits,

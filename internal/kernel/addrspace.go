@@ -294,14 +294,10 @@ func (tc *ThreadCall) MemWrite(va uint64, data []byte) error {
 	if end < off || off < 0 { // int overflow from a huge mapping offset
 		return ErrQuota
 	}
-	if end > len(seg.data) {
-		if uint64(end)+128 > seg.quota {
-			return ErrQuota
-		}
-		grown := make([]byte, end)
-		copy(grown, seg.data)
-		seg.data = grown
+	if end > len(seg.data) && uint64(end)+128 > seg.quota {
+		return ErrQuota
 	}
+	seg.unshareLocked(tc.k, end)
 	copy(seg.data[off:], data)
 	seg.usage = seg.footprint()
 	seg.bump()

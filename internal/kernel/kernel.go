@@ -45,6 +45,8 @@
 //  5. Futex-table shard locks nest inside object locks and never the other
 //     way around.  The ID and category allocators are self-synchronized
 //     leaves.
+//  6. No object lock is held while calling the store (Syncer, SnapshotSink,
+//     integrity source): it calls SegmentContents under its entry locks.
 //
 // Recursive deallocation (unreferencing a container subtree) never holds two
 // tree levels' locks at once: an object that drops to zero references is

@@ -145,7 +145,7 @@ type segment struct {
 	threadLocalOwner ID
 	// frozen marks data as shared copy-on-write with a container snapshot
 	// or a clone of one: the slice must not be mutated in place, so the
-	// first mutation copies it and clears the flag (see breakCOWLocked).
+	// first mutation copies it and clears the flag (see unshareLocked).
 	// Guarded by the segment's lock like data.
 	frozen bool
 }

@@ -235,30 +235,29 @@ func (tc *ThreadCall) SegmentWrite(ce CEnt, off int, data []byte) error {
 	return segWriteLocked(tc.k, seg, off, data)
 }
 
-// breakCOWLocked gives the segment a private copy of its data before the
-// first mutation after a snapshot or clone froze the slice; the caller holds
-// the segment's write lock.  This is the only place snapshot-shared bytes are
-// ever duplicated, so the kernel-wide copied-bytes counter lives here.
-func (s *segment) breakCOWLocked(k *Kernel) {
-	if !s.frozen {
-		return
-	}
-	s.data = append([]byte(nil), s.data...)
-	s.noteCOWBreakLocked(k)
-}
-
-// noteCOWBreakLocked clears the frozen flag and accounts the bytes that were
-// (or are about to be) copied out of the shared array; growth paths that
-// already allocate a fresh array call it instead of breakCOWLocked so the
-// data is not copied twice.
-func (s *segment) noteCOWBreakLocked(k *Kernel) {
-	if !s.frozen {
-		return
-	}
-	s.frozen = false
-	if k != nil {
+// unshareLocked readies the segment, under its write lock, for a mutation
+// in place that needs n bytes (n ≤ its length needs no growth).  A frozen
+// array, which a snapshot or clone still shares, is copied out first: the
+// only place shared bytes are ever duplicated, so the kernel-wide
+// copied-bytes counter lives here.  Other growth is amortized through
+// append's spare capacity (uncharged: quota and footprint are
+// length-based), clearing any bytes a truncation left there.
+func (s *segment) unshareLocked(k *Kernel, n int) {
+	old := len(s.data)
+	n = max(n, old)
+	switch {
+	case s.frozen:
+		s.frozen = false
 		k.snap.cowBreaks.Add(1)
-		k.snap.copiedBytes.Add(uint64(len(s.data)))
+		k.snap.copiedBytes.Add(uint64(old))
+		grown := make([]byte, n)
+		copy(grown, s.data)
+		s.data = grown
+	case n <= cap(s.data):
+		s.data = s.data[:n]
+		clear(s.data[old:])
+	default:
+		s.data = append(s.data, make([]byte, n-old)...)
 	}
 }
 
@@ -275,17 +274,10 @@ func segWriteLocked(k *Kernel, seg *segment, off int, data []byte) error {
 	if end < off { // int overflow; no quota could ever cover it
 		return ErrQuota
 	}
-	if end > len(seg.data) {
-		if uint64(end)+128 > seg.quota {
-			return ErrQuota
-		}
-		seg.noteCOWBreakLocked(k)
-		grown := make([]byte, end)
-		copy(grown, seg.data)
-		seg.data = grown
-	} else {
-		seg.breakCOWLocked(k)
+	if end > len(seg.data) && uint64(end)+128 > seg.quota {
+		return ErrQuota
 	}
+	seg.unshareLocked(k, end)
 	copy(seg.data[off:], data)
 	seg.usage = seg.footprint()
 	seg.bump()
@@ -331,10 +323,7 @@ func segResizeLocked(k *Kernel, seg *segment, n int) error {
 		// byte, and any later in-place write still breaks the COW first.
 		seg.data = seg.data[:n]
 	} else {
-		seg.noteCOWBreakLocked(k)
-		grown := make([]byte, n)
-		copy(grown, seg.data)
-		seg.data = grown
+		seg.unshareLocked(k, n)
 	}
 	seg.usage = seg.footprint()
 	seg.bump()
@@ -374,7 +363,7 @@ func (tc *ThreadCall) SegmentCompareSwap(ce CEnt, off uint64, old, next uint64) 
 	if cur != old {
 		return false, nil
 	}
-	seg.breakCOWLocked(tc.k)
+	seg.unshareLocked(tc.k, 0)
 	putLittleEndianU64(seg.data[off:], next)
 	seg.bump()
 	return true, nil
@@ -394,6 +383,27 @@ func putLittleEndianU64(b []byte, v uint64) {
 	b[5] = byte(v >> 40)
 	b[6] = byte(v >> 48)
 	b[7] = byte(v >> 56)
+}
+
+// SegmentContents returns a copy of live segment id's bytes: the store's
+// trusted read, with no label check, for copying an object in at a sync or
+// checkpoint.  It takes only the segment's read lock, so the store may call
+// it under its entry lock.
+func (k *Kernel) SegmentContents(id ID) ([]byte, bool) {
+	o, err := k.lookup(id)
+	if err != nil {
+		return nil, false
+	}
+	seg, ok := o.(*segment)
+	if !ok {
+		return nil, false
+	}
+	seg.mu.RLock()
+	defer seg.mu.RUnlock()
+	if !liveLocked(seg) {
+		return nil, false
+	}
+	return append([]byte(nil), seg.data...), true
 }
 
 // SegmentLen returns the length of the segment named by ce.

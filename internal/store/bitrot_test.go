@@ -525,3 +525,36 @@ func TestScrubDetectsRotAndQuarantines(t *testing.T) {
 		}
 	}
 }
+
+// TestBitRotSyncObjectsRefusesQuarantinedObject: the batched sync refuses a
+// quarantined object with no resident copy, as SyncObject does, instead of
+// reporting it durable.
+func TestBitRotSyncObjectsRefusesQuarantinedObject(t *testing.T) {
+	s, fd := rotStore(t)
+	populateGenerations(t, s)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(fd, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim, bystander = uint64(13), uint64(1)
+	off, ok := s2.objMap.Get(btree.K1(victim))
+	if !ok {
+		t.Fatal("victim has no home extent")
+	}
+	if err := fd.RotBits(disk.Region{Off: int64(off), Len: s2.objSizes[victim]}, 1, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.Get(victim); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("Get(victim) = %v; want ErrQuarantined", err)
+	}
+	errs := s2.SyncObjects([]uint64{bystander, victim})
+	if errs[0] != nil {
+		t.Errorf("SyncObjects: bystander = %v; want nil", errs[0])
+	}
+	if !errors.Is(errs[1], ErrQuarantined) {
+		t.Errorf("SyncObjects: victim = %v; want ErrQuarantined", errs[1])
+	}
+}

@@ -25,6 +25,8 @@ func crc32c(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 // protocol held ckptMu exclusively for the entire pass; now only the SEAL
 // is exclusive, and it does no I/O beyond one log-marker append:
 //
+//	COPY-IN (ckptMu read mode): copy every marked object in from the
+//	        source, so the exclusive seal below copies nothing.
 //	SEAL    (ckptMu held exclusively, microseconds): capture the dirty and
 //	        dead entries and every recorded label, clear the dirty flags
 //	        (marking the entries ckpt so eviction and scrub leave them
@@ -47,8 +49,8 @@ func crc32c(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 // ever extend past the committed high-water mark, and vacated extents are
 // held on the deferred-free list until every data write of this checkpoint
 // has issued, then returned to the free trees just before the metadata is
-// serialized.  Whichever superblock a crash leaves behind references only
-// intact data.
+// serialized — and taken out of them again if the snapshot write fails.
+// Whichever superblock a crash leaves behind references only intact data.
 //
 // If the log is so full that even the seal marker cannot be appended after
 // reclaiming the previous generation, the checkpoint degrades to the old
@@ -94,6 +96,7 @@ type sealedState struct {
 // ckptRun, which serializes whole checkpoints (Checkpoint itself, Close,
 // and the sync fallback in checkpointSince).
 func (s *Store) checkpointRunLocked() error {
+	s.copyInMarked()
 	start := time.Now()
 	s.ckptMu.Lock()
 	if s.closed {
@@ -118,6 +121,25 @@ func (s *Store) checkpointRunLocked() error {
 		gate()
 	}
 	return s.checkpointBody(ss)
+}
+
+// copyInMarked copies every marked object in before the seal, under ckptMu
+// read mode; one marked after this pass waits for the next checkpoint.
+func (s *Store) copyInMarked() {
+	s.ckptMu.RLock()
+	defer s.ckptMu.RUnlock()
+	if s.closed {
+		return
+	}
+	for si := range s.shards {
+		for _, se := range s.shards[si].snapshot() {
+			se.entry.mu.Lock()
+			if se.entry.marked {
+				s.copyInLocked(se.id, se.entry)
+			}
+			se.entry.mu.Unlock()
+		}
+	}
 }
 
 // noteSealStall folds one seal's exclusive-hold duration into the stall
@@ -159,13 +181,16 @@ func (s *Store) sealCheckpoint() (*sealedState, error) {
 				} else {
 					delete(sh.objs, id)
 				}
-			case e.dirty:
+			case e.dirty && e.cached:
 				// Seal the COW contents slice and hand the entry to the body:
 				// ckpt keeps eviction and scrub off the only in-RAM copy
-				// until the body has written it home.
-				e.dirty = false
+				// until the body has written it home.  One marked since
+				// copyInMarked seals its last copy and stays dirty.
+				e.dirty = e.marked
 				e.ckpt = true
 				ss.entries = append(ss.entries, sealedEntry{id: id, e: e, data: e.data})
+			case e.dirty:
+				// Marked since copyInMarked, never copied: next time.
 			case !e.cached && !e.hasLbl && !e.quar && !e.ckpt:
 				// Nothing worth remembering: prune the entry.  Quarantined
 				// entries are remembered so the damage verdict (and the
@@ -245,14 +270,23 @@ func (s *Store) checkpointBody(ss *sealedState) (err error) {
 		return err
 	}
 	// All data writes issued; the vacated extents may now rejoin the free
-	// trees so the metadata snapshot below records them reusable.
+	// trees so the metadata snapshot below records them reusable.  Only the
+	// body allocates, and if the snapshot fails they leave the trees again:
+	// the committed snapshot may still reference them.
 	s.allocMu.Lock()
-	for _, e := range s.deferredFree {
+	freed := s.deferredFree
+	for _, e := range freed {
 		s.addFreeLocked(e)
 	}
 	s.deferredFree = nil
 	s.allocMu.Unlock()
 	if err := s.writeSnapshot(ss.epoch, ss.labels); err != nil {
+		s.allocMu.Lock()
+		for _, e := range freed {
+			s.takeFreeLocked(e)
+		}
+		s.deferredFree = append(s.deferredFree, freed...)
+		s.allocMu.Unlock()
 		return err
 	}
 	s.mapAhead = false
@@ -431,6 +465,19 @@ func (s *Store) addFreeLocked(e extent) {
 	}
 	s.freeBySize.Put(btree.K2(uint64(e.size), uint64(e.off)), 0)
 	s.freeByOff.Put(btree.K1(uint64(e.off)), uint64(e.size))
+}
+
+// takeFreeLocked removes e, which lies inside one free extent, from the
+// free trees.
+func (s *Store) takeFreeLocked(e extent) {
+	k, v, ok := s.freeByOff.Floor(btree.K1(uint64(e.off)))
+	if !ok {
+		return
+	}
+	f := extent{off: int64(k[0]), size: int64(v)}
+	s.removeFreeLocked(f)
+	s.addFreeLocked(extent{off: f.off, size: e.off - f.off})
+	s.addFreeLocked(extent{off: e.off + e.size, size: f.off + f.size - e.off - e.size})
 }
 
 func (s *Store) removeFreeLocked(e extent) {

@@ -46,6 +46,11 @@
 // An incremental checkpoint committing epoch E writes in this order, each
 // step leaving the previously referenced snapshot intact:
 //
+//  0. COPY-IN (ckptMu read mode, no disk I/O): every object marked since
+//     it was last copied is copied in from the source (the kernel's
+//     segment), each under its entry lock — the store entry → kernel
+//     segment lock edge (see the locking discipline in store.go).  An
+//     object marked after this pass stays marked for the next checkpoint.
 //  1. SEAL (brief ckptMu write hold): append the epoch-E marker record to
 //     the write-ahead log.  Records after the marker are exactly the syncs
 //     the epoch-E snapshot might miss.
@@ -56,7 +61,8 @@
 //     queued on a deferred-free list.  Then run the cleaner, and only
 //     after every data write has issued return the deferred extents to the
 //     allocator — so the epoch-E-1 snapshot's extents are never reused
-//     before epoch E commits.
+//     before epoch E commits.  If step 3 fails, they leave the free trees
+//     again and wait for the next checkpoint.
 //  3. Serialize the metadata (object map and allocator state read under
 //     their locks; labels from the seal-time capture) into the area the
 //     superblock does NOT reference, flush, then rewrite both superblock

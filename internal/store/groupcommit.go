@@ -204,68 +204,9 @@ func (s *Store) commitBatch(batch []*syncTicket) error {
 // fit), the same durability is provided by a whole-system checkpoint.
 // Directory-level fsync in the Unix library uses Checkpoint directly, which
 // is why the paper's synchronous unlink phase is so much slower on HiStar
-// than Linux.
+// than Linux.  SyncObject is SyncObjects of one object.
 func (s *Store) SyncObject(id uint64) error {
-	seal, err := s.syncOnce(id)
-	if errors.Is(err, errRetryCheckpoint) {
-		return s.checkpointSince(seal)
-	}
-	return err
-}
-
-// syncOnce seals and group-commits one record.  It returns the checkpoint
-// seal sequence observed at record-seal time (while holding ckptMu in read
-// mode, so no checkpoint SEAL can slip between the read and the enqueue —
-// any later seal captures this record's state).
-func (s *Store) syncOnce(id uint64) (uint64, error) {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	seal := s.sealSeq.Load()
-	s.c.objectSyncs.Add(1)
-	e := s.shardOf(id).lookup(id)
-	if e == nil {
-		// Nothing in memory and not deleted: the on-disk copy is current.
-		return seal, nil
-	}
-	e.mu.Lock()
-	var rec wal.Record
-	switch {
-	case e.dead:
-		rec = wal.Record{ObjectID: id, Delete: true}
-	case e.cached:
-		rec = wal.Record{ObjectID: id, Data: e.data}
-		if e.hasLbl {
-			rec.Label = e.lbl.AppendBinary(nil)
-		}
-	default:
-		if e.quar {
-			// No resident copy and the home extent is damaged: the store
-			// cannot promise this object is durable.
-			e.mu.Unlock()
-			return seal, &QuarantineError{ID: id, Detail: "cannot sync: home extent failed verification"}
-		}
-		e.mu.Unlock()
-		return seal, nil
-	}
-	if s.l.TooLarge(rec) {
-		// The record can never be logged (it exceeds the log region or the
-		// format's label-length field); a checkpoint provides the same
-		// durability — contents, label, and index — in one sweep.
-		e.mu.Unlock()
-		return seal, errRetryCheckpoint
-	}
-	// Enqueue under the entry lock: per-object log order = seal order.
-	t := s.comm.enqueue(rec)
-	e.mu.Unlock()
-	err := s.awaitCommit(t)
-	if err == nil {
-		s.c.bytesLogged.Add(uint64(len(rec.Data)))
-		s.c.labelBytesLogged.Add(uint64(len(rec.Label)))
-	}
-	return seal, err
+	return s.SyncObjects([]uint64{id})[0]
 }
 
 // SyncObjects durably records the current contents of many objects at once:
@@ -294,10 +235,11 @@ func (s *Store) SyncObjects(ids []uint64) []error {
 }
 
 // syncGroupOnce is SyncObjects' log phase: seal and enqueue every record,
-// then await all tickets.  Like syncOnce it holds ckptMu in read mode from
-// first seal to last ticket resolution, so no checkpoint can slip between
-// sealing a state and committing it.  It reports whether any id must fall
-// back to a checkpoint.
+// then await all tickets.  It holds ckptMu in read mode from first seal to
+// last ticket resolution, so no checkpoint can slip between sealing a state
+// and committing it, and it returns the checkpoint seal sequence observed
+// under that hold (any later seal captures these records' states).  It
+// reports whether any id must fall back to a checkpoint.
 func (s *Store) syncGroupOnce(ids []uint64, errs []error) (uint64, bool) {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
@@ -322,6 +264,9 @@ func (s *Store) syncGroupOnce(ids []uint64, errs []error) (uint64, bool) {
 			continue
 		}
 		e.mu.Lock()
+		if e.marked || (!e.cached && !e.dead) {
+			s.copyInLocked(id, e)
+		}
 		var rec wal.Record
 		switch {
 		case e.dead:
@@ -331,11 +276,19 @@ func (s *Store) syncGroupOnce(ids []uint64, errs []error) (uint64, bool) {
 			if e.hasLbl {
 				rec.Label = e.lbl.AppendBinary(nil)
 			}
+		case e.quar:
+			// Nothing resident and a damaged home extent: not durable.
+			e.mu.Unlock()
+			errs[i] = &QuarantineError{ID: id, Detail: "cannot sync: home extent failed verification"}
+			continue
 		default:
+			// Not resident and not marked: the on-disk copy is current.
 			e.mu.Unlock()
 			continue
 		}
 		if s.l.TooLarge(rec) {
+			// Never loggable (log region or label-length field): a
+			// checkpoint provides the same durability.
 			e.mu.Unlock()
 			errs[i] = errRetryCheckpoint
 			needCkpt = true

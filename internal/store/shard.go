@@ -20,6 +20,9 @@ type objEntry struct {
 	cached bool // contents resident (the "page cache")
 	dirty  bool // modified since the last checkpoint seal
 	dead   bool // deleted since the last checkpoint seal
+	// marked: the source holds newer contents than data (see Mark); a
+	// marked entry is always dirty.
+	marked bool
 	lbl    label.Label
 	hasLbl bool
 	// quar marks an object whose home-extent contents failed checksum

@@ -91,14 +91,16 @@
 // dead have their live objects appended out so the extent can be reclaimed.
 // Segments are never overwritten in place — appends land only beyond the
 // committed high-water mark, and vacated extents return to the free trees
-// only after every data write of the checkpoint has issued — preserving the
-// copy-on-write discipline that makes a crash at any write boundary leave
-// the previously referenced snapshot intact.  See segment.go.
+// only after every data write of the checkpoint has issued, and leave them
+// again if its snapshot write fails — preserving the copy-on-write
+// discipline that makes a crash at any write boundary leave the previously
+// referenced snapshot intact.  See segment.go.
 //
 // Three durability modes mirror the evaluation's LFS variants:
 //
-//   - asynchronous: Put buffers in memory; nothing reaches disk until a
-//     checkpoint.
+//   - asynchronous: Put buffers in memory, and Mark records a change at
+//     the source (the kernel's segment), which is copied in only at a sync,
+//     a checkpoint or a Get; nothing reaches disk until a checkpoint.
 //   - per-object sync: SyncObject appends the object — contents and label
 //     in one record, so a crash can never resurrect an object without its
 //     taint — to the write-ahead log through the group committer and waits
@@ -110,9 +112,11 @@
 //
 // # Incremental checkpoints
 //
-// Checkpoint is no longer a stop-the-world pause.  The protocol has three
+// Checkpoint is no longer a stop-the-world pause.  The protocol has four
 // phases (see checkpoint.go for the full invariant catalogue):
 //
+//   - COPY-IN, under ckptMu read mode: every marked object is copied in
+//     from the source, so the exclusive seal copies nothing.
 //   - SEAL, the only exclusive moment: a brief ckptMu write hold that
 //     captures the dirty set (clearing dirty, marking entries ckpt),
 //     captures every label, and appends an epoch marker to the write-ahead
@@ -143,10 +147,13 @@
 //     it exclusively, and only briefly; the checkpoint body runs under no
 //     ckptMu mode at all, serialized against other checkpoints by ckptRun.
 //  2. Each cached object has its own entry (objEntry) with a per-entry
-//     mutex guarding its contents, dirty/dead/ckpt flags, and label.
+//     mutex guarding its contents, dirty/dead/ckpt/marked flags, and label.
 //     Contents are copy-on-write: e.data is replaced, never mutated in
 //     place, so a sealed log record or a sealed checkpoint capture may
-//     alias it after the entry lock is released.
+//     alias it after the entry lock is released.  Copying an object in
+//     reads the source under the entry lock (ckptMu in read mode): store
+//     entry → kernel segment, so the kernel never calls the store while
+//     holding an object lock.
 //  3. The entry table is sharded by object-ID bits (Options.Shards; 1
 //     forces the single-shard ablation).  Each shard's RWMutex guards its
 //     id→entry map and its slice of the label fingerprint index.  Shard
@@ -306,10 +313,13 @@ type Store struct {
 	logSize  int64
 	metaSize int64
 
-	// ckptMu is the checkpoint gate (discipline rule 1).  closed is guarded
-	// by it (read under R, written under W).
+	// ckptMu is the checkpoint gate (discipline rule 1).  closed and source
+	// are guarded by it (read under R, written under W).
 	ckptMu sync.RWMutex
 	closed bool
+	// source reads an object's current contents (the kernel's segment) to
+	// copy marked objects in; see SetSource.
+	source func(id uint64) ([]byte, bool)
 
 	// ckptRun serializes checkpoint runs end to end (seal through finish);
 	// ckptMu write mode covers only the seal, so without ckptRun two
@@ -686,16 +696,65 @@ func (s *Store) Put(id uint64, data []byte) error {
 	return nil
 }
 
-// putEntry installs new contents; the caller holds ckptMu in read mode and
-// the entry lock.
+// putEntry installs a copy of data; the caller holds ckptMu in read mode
+// and the entry lock.
 func (s *Store) putEntry(e *objEntry, data []byte) {
-	// Copy-on-write: replace, never mutate, so sealed log records may alias
-	// the old slice.
-	e.data = append([]byte(nil), data...)
+	s.installEntry(e, append([]byte(nil), data...))
+}
+
+// installEntry makes data, which the caller hands over, the entry's dirty
+// contents; Stats.Puts counts it.  Copy-on-write: e.data is replaced, never
+// mutated, so sealed log records may alias the old slice.
+func (s *Store) installEntry(e *objEntry, data []byte) {
+	e.data = data
 	e.cached, e.dirty, e.dead = true, true, false
 	// New contents supersede a damaged home extent: lift the quarantine.
 	e.quar = false
 	s.c.puts.Add(1)
+}
+
+// SetSource attaches the object source: a trusted read of an object's
+// current contents by ID (false if there is no such object).  Writers then
+// call Mark instead of Put, and the store copies an object in when it needs
+// the bytes: at a sync (also for a non-resident object), before a
+// checkpoint's seal, and on a Get.  The source runs under the entry lock,
+// so it must never call back into the store.
+func (s *Store) SetSource(src func(id uint64) ([]byte, bool)) {
+	s.ckptMu.Lock()
+	s.source = src
+	s.ckptMu.Unlock()
+}
+
+// Mark records that an object's contents changed at the source, copying
+// nothing: the entry becomes dirty and counts as resident (Cached).
+func (s *Store) Mark(id uint64) error {
+	s.ckptMu.RLock()
+	defer s.ckptMu.RUnlock()
+	if s.closed {
+		return ErrClosed
+	}
+	e := s.shardOf(id).getOrCreate(id)
+	e.mu.Lock()
+	e.marked, e.dirty = true, true
+	e.mu.Unlock()
+	return nil
+}
+
+// copyInLocked installs the source's current bytes; the caller holds ckptMu
+// in read mode (never write mode) and the entry lock, so copies of one
+// object install in the order they read the source.  Without such an
+// object at the source, the entry keeps its last copy, home or deletion.
+func (s *Store) copyInLocked(id uint64, e *objEntry) {
+	e.marked = false
+	if s.source != nil {
+		if data, ok := s.source(id); ok {
+			s.installEntry(e, data)
+			return
+		}
+	}
+	if !e.cached {
+		e.dirty = false
+	}
 }
 
 // Get returns the contents of an object, reading it from disk if it is not
@@ -707,43 +766,12 @@ func (s *Store) Get(id uint64) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	s.c.gets.Add(1)
-	sh := s.shardOf(id)
-	e := sh.lookup(id)
-	if e == nil {
-		// No in-memory state at all: the home location is authoritative.
-		buf, err := s.readHome(id)
-		if err != nil {
-			if errors.Is(err, ErrCorrupt) {
-				e = sh.getOrCreate(id)
-				e.mu.Lock()
-				qerr := s.quarantine(id, e, err.Error())
-				e.mu.Unlock()
-				// Damage on a shared extent damages every referent: clones
-				// and bundle entries over it must never serve these bytes.
-				if off, ok := s.homeOffset(id); ok {
-					s.propagateExtentRot(off, id)
-				}
-				return nil, qerr
-			}
-			return nil, err
-		}
-		e = sh.getOrCreate(id)
-		e.mu.Lock()
-		switch {
-		case e.cached: // raced with a Put: its contents are newer
-			buf = append([]byte(nil), e.data...)
-		case e.dead:
-			e.mu.Unlock()
-			return nil, ErrNoSuchObject
-		default:
-			e.data = append([]byte(nil), buf...)
-			e.cached = true
-		}
-		e.mu.Unlock()
-		return buf, nil
-	}
+	e := s.shardOf(id).getOrCreate(id)
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.marked {
+		s.copyInLocked(id, e)
+	}
 	if e.cached {
 		return append([]byte(nil), e.data...), nil
 	}
@@ -753,8 +781,8 @@ func (s *Store) Get(id uint64) ([]byte, error) {
 	if e.quar {
 		return nil, &QuarantineError{ID: id, Detail: "home extent failed verification"}
 	}
-	// Entry holds only a label (or was evicted): page the contents in while
-	// holding the entry lock so concurrent misses do one disk read.
+	// Nothing resident: page the contents in while holding the entry lock
+	// so concurrent misses do one disk read.
 	buf, err := s.readHome(id)
 	if err != nil {
 		if errors.Is(err, ErrCorrupt) {
@@ -935,7 +963,8 @@ func (s *Store) VerifyLabelIndex() error {
 	return nil
 }
 
-// Cached reports whether the object's contents are resident in memory.
+// Cached reports whether the object's contents are resident in memory (for
+// a marked object, at the source).
 func (s *Store) Cached(id uint64) bool {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
@@ -945,12 +974,13 @@ func (s *Store) Cached(id uint64) bool {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.cached
+	return e.cached || e.marked
 }
 
 // EvictCache drops all clean objects from the in-memory cache, forcing
 // subsequent Gets to hit the disk (used by the uncached read benchmarks).
-// Labels stay resident: only contents are evicted.
+// Labels stay resident: only contents are evicted.  A marked object is
+// dirty, so it keeps its mark.
 func (s *Store) EvictCache() {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
@@ -978,7 +1008,7 @@ func (s *Store) Delete(id uint64) error {
 	sh := s.shardOf(id)
 	e := sh.getOrCreate(id)
 	e.mu.Lock()
-	e.data, e.cached, e.dirty, e.dead = nil, false, false, true
+	e.data, e.cached, e.dirty, e.dead, e.marked = nil, false, false, true, false
 	e.quar = false // deletion disposes of the damaged extent
 	s.clearLabel(sh, id, e)
 	e.mu.Unlock()

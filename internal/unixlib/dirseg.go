@@ -3,6 +3,7 @@ package unixlib
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 
 	"histar/internal/kernel"
 )
@@ -151,10 +152,6 @@ func (sys *System) unlockDir(tc *kernel.ThreadCall, seg kernel.CEnt) error {
 	return mapKernelErr(err)
 }
 
-// maxSegRead asks a ring read for "the rest of the segment": SegmentRead
-// clamps to the segment's length, so no separate SegmentLen call is needed.
-const maxSegRead = int(^uint(0) >> 1)
-
 // readDirEntries returns a consistent snapshot of a directory's entries.
 // Writers hold the mutex; readers without write permission retry until the
 // generation number is stable and the busy flag clear.
@@ -172,7 +169,9 @@ func (sys *System) readDirEntries(tc *kernel.ThreadCall, seg kernel.CEnt) ([]Dir
 	for attempt := 0; ; attempt++ {
 		r.Submit(
 			kernel.RingEntry{Op: kernel.OpSegmentRead, Seg: seg, Off: dsGenOff, Len: 16},
-			kernel.RingEntry{Op: kernel.OpSegmentRead, Seg: seg, Off: 0, Len: maxSegRead, Chain: true},
+			// SegmentRead clamps to the segment's length, so asking for
+			// the most an int allows reads the whole segment.
+			kernel.RingEntry{Op: kernel.OpSegmentRead, Seg: seg, Off: 0, Len: math.MaxInt, Chain: true},
 			kernel.RingEntry{Op: kernel.OpSegmentRead, Seg: seg, Off: dsGenOff, Len: 8, Chain: true},
 		)
 		comps, err := r.Wait(3)
@@ -229,7 +228,10 @@ func (sys *System) writeDirEntries(tc *kernel.ThreadCall, seg kernel.CEnt, entri
 	if err := sys.segResize(tc, seg, len(buf)); err != nil {
 		return err
 	}
-	return sys.segWrite(tc, seg, 0, buf)
+	if err := sys.segWrite(tc, seg, 0, buf); err != nil {
+		return err
+	}
+	return sys.markDirty(seg.Object)
 }
 
 // mapKernelErr translates kernel errors into the library's errno-style

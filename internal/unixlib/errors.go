@@ -30,6 +30,7 @@ var (
 	// ErrNoUser is returned for operations on unknown user accounts.
 	ErrNoUser = errors.New("unixlib: no such user")
 	// ErrIO mirrors EIO: the object's persistent storage failed integrity
-	// verification (the store detected bit rot and quarantined it).
+	// verification (the store detected bit rot and quarantined it), or the
+	// store refused the operation (a store error is wrapped with it).
 	ErrIO = errors.New("unixlib: input/output error")
 )

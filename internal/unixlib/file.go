@@ -197,7 +197,9 @@ func (p *Process) Write(num int, data []byte) (int, error) {
 		return 0, err
 	}
 	p.touchMtime(fd.File)
-	p.sys.persistFileAsync(p.TC, fd.File)
+	if err := p.sys.markDirty(fd.File.Object); err != nil {
+		return 0, err
+	}
 	if err := p.fdSetSeek(fd, pos+int64(len(data))); err != nil {
 		return len(data), err
 	}
@@ -217,7 +219,9 @@ func (p *Process) Pwrite(num int, data []byte, off int64) (int, error) {
 		return 0, err
 	}
 	p.touchMtime(fd.File)
-	p.sys.persistFileAsync(p.TC, fd.File)
+	if err := p.sys.markDirty(fd.File.Object); err != nil {
+		return 0, err
+	}
 	return len(data), nil
 }
 
@@ -378,8 +382,7 @@ func (p *Process) Unlink(path string) error {
 	if err := p.TC.Unref(dir, entry.ID); err != nil {
 		return mapKernelErr(err)
 	}
-	p.sys.persistDelete(entry.ID)
-	return nil
+	return p.sys.persistDelete(entry.ID)
 }
 
 // Rename renames a file within a directory, or moves it between directories.
@@ -429,8 +432,6 @@ func (p *Process) Rename(oldPath, newPath string) error {
 		return err
 	}
 	_ = p.TC.Unref(oldDir, oldEntry.ID)
-	p.sys.persistDirectory(p.TC, oldDir)
-	p.sys.persistDirectory(p.TC, newDir)
 	return nil
 }
 
@@ -481,8 +482,8 @@ func (p *Process) WriteFile(path string, data []byte, lbl label.Label) error {
 	return err
 }
 
-// Fsync makes a file durable: the file's segment is synchronously appended
-// to the single-level store's write-ahead log.
+// Fsync makes a file durable: the store copies the file's segment and
+// synchronously appends it to its write-ahead log, through one ring sync.
 func (p *Process) Fsync(num int) error {
 	fd, err := p.getFD(num)
 	if err != nil {
@@ -493,7 +494,7 @@ func (p *Process) Fsync(num int) error {
 		// (Section 7.1's explanation for the synchronous unlink numbers).
 		return p.sys.SyncWholeSystem()
 	}
-	return p.sys.persistFileSync(p.TC, fd.File)
+	return p.sys.ringSyncFiles(p.TC, []kernel.CEnt{fd.File})
 }
 
 // FsyncPath is Fsync by path: files sync their own segment, directories
@@ -510,7 +511,7 @@ func (p *Process) FsyncPath(path string) error {
 	if entry.Type == kernel.ObjContainer {
 		return p.sys.SyncWholeSystem()
 	}
-	return p.sys.persistFileSync(p.TC, kernel.CEnt{Container: dir, Object: entry.ID})
+	return p.sys.ringSyncFiles(p.TC, []kernel.CEnt{{Container: dir, Object: entry.ID}})
 }
 
 // GroupSync checkpoints the entire system state once — the new consistency

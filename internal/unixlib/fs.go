@@ -31,7 +31,9 @@ func (sys *System) mkDirContainer(tc *kernel.ThreadCall, parent kernel.ID, name 
 	if err != nil {
 		return kernel.NilID, mapKernelErr(err)
 	}
-	sys.persistLabel(seg, lbl)
+	if err := sys.persistLabel(seg, lbl); err != nil {
+		return kernel.NilID, err
+	}
 	var md [kernel.MetadataSize]byte
 	binary.LittleEndian.PutUint64(md[:8], uint64(seg))
 	if err := tc.ObjectSetMetadata(kernel.Self(dir), md); err != nil {
@@ -68,7 +70,6 @@ func (sys *System) mkdirIn(tc *kernel.ThreadCall, dir kernel.ID, name string, lb
 	if err := sys.writeDirEntries(tc, seg, entries); err != nil {
 		return kernel.NilID, err
 	}
-	sys.persistDirectory(tc, dir)
 	return child, nil
 }
 
@@ -96,12 +97,13 @@ func (sys *System) createFileIn(tc *kernel.ThreadCall, dir kernel.ID, name strin
 	if err != nil {
 		return kernel.NilID, mapKernelErr(err)
 	}
-	sys.persistLabel(file, lbl)
+	if err := sys.persistLabel(file, lbl); err != nil {
+		return kernel.NilID, err
+	}
 	entries = append(entries, DirEntry{Name: name, ID: file, Type: kernel.ObjSegment})
 	if err := sys.writeDirEntries(tc, seg, entries); err != nil {
 		return kernel.NilID, err
 	}
-	sys.persistDirectory(tc, dir)
 	return file, nil
 }
 
@@ -151,7 +153,6 @@ func (sys *System) removeEntry(tc *kernel.ThreadCall, dir kernel.ID, name string
 			if err := sys.writeDirEntries(tc, seg, entries); err != nil {
 				return DirEntry{}, err
 			}
-			sys.persistDirectory(tc, dir)
 			return e, nil
 		}
 	}
@@ -193,13 +194,11 @@ func (sys *System) renameEntry(tc *kernel.ThreadCall, dir kernel.ID, oldName, ne
 		victim := entries[dstIdx]
 		entries = append(entries[:dstIdx], entries[dstIdx+1:]...)
 		_ = tc.Unref(dir, victim.ID)
-		sys.persistDelete(victim.ID)
+		if err := sys.persistDelete(victim.ID); err != nil {
+			return err
+		}
 	}
-	if err := sys.writeDirEntries(tc, seg, entries); err != nil {
-		return err
-	}
-	sys.persistDirectory(tc, dir)
-	return nil
+	return sys.writeDirEntries(tc, seg, entries)
 }
 
 // resolve walks an absolute or cwd-relative path to its final component.  It

@@ -10,76 +10,49 @@ import (
 )
 
 // Persistence bridge to the single-level store.  When a store is attached,
-// file and directory segments are mirrored into it keyed by their kernel
-// object ID, so the durability semantics of the paper apply: asynchronous
+// file and directory segments are store objects keyed by kernel object ID;
+// a write only marks the object, and the store copies the segment in
+// (through Boot's trusted kernel read) when it needs the bytes.  So the
+// durability semantics of the paper apply: asynchronous
 // writes reach disk only at the next checkpoint, per-file fsync commits one
 // object through the write-ahead log, and directory fsync (or an explicit
 // group sync) checkpoints the entire system state.
-//
-// On a real HiStar machine the kernel itself writes every object to disk at
-// each snapshot; mirroring at the library layer preserves the same on-disk
-// traffic for the objects the benchmarks exercise without entangling the
-// kernel simulation with the disk model.
+
+// storeErr maps a store failure to EIO, keeping the store's error in the
+// chain.
+func storeErr(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrIO, err)
+}
 
 // persistLabel records an object's information-flow label in the store.  It
 // is called once, where the object is created and its label is already in
-// hand, so the per-write persist paths below stay free of extra kernel
-// calls.  The label travels with the object so a restored system can
-// rebuild its canonical form (and fingerprint) without consulting the
-// kernel.
-func (sys *System) persistLabel(id kernel.ID, lbl label.Label) {
-	if sys.Persist == nil {
-		return
-	}
-	_ = sys.Persist.SetLabel(uint64(id), lbl)
-}
-
-// persistFileAsync records a file's current contents in the store's
-// in-memory dirty set (no disk I/O yet).  The object's label was recorded
-// by persistLabel when the file was created.
-func (sys *System) persistFileAsync(tc *kernel.ThreadCall, file kernel.CEnt) {
-	if sys.Persist == nil {
-		return
-	}
-	n, err := tc.SegmentLen(file)
-	if err != nil {
-		return
-	}
-	data, err := tc.SegmentRead(file, 0, n)
-	if err != nil {
-		return
-	}
-	_ = sys.Persist.Put(uint64(file.Object), data)
-}
-
-// persistFileSync is persistFileAsync followed by a write-ahead-log commit
-// for that object (fsync of a file).
-func (sys *System) persistFileSync(tc *kernel.ThreadCall, file kernel.CEnt) error {
+// hand, so the write paths stay free of extra kernel calls.  The label
+// travels with the object so a restored system can rebuild its canonical
+// form (and fingerprint) without consulting the kernel.
+func (sys *System) persistLabel(id kernel.ID, lbl label.Label) error {
 	if sys.Persist == nil {
 		return nil
 	}
-	sys.persistFileAsync(tc, file)
-	return sys.Persist.SyncObject(uint64(file.Object))
+	return storeErr(sys.Persist.SetLabel(uint64(id), lbl))
 }
 
-// persistDirectory mirrors a directory's segment into the store (async).
-func (sys *System) persistDirectory(tc *kernel.ThreadCall, dir kernel.ID) {
+// markDirty records that a segment's contents changed; no bytes move.
+func (sys *System) markDirty(id kernel.ID) error {
 	if sys.Persist == nil {
-		return
+		return nil
 	}
-	seg, err := sys.dirSegCE(tc, dir)
-	if err != nil {
-		return
-	}
-	sys.persistFileAsync(tc, seg)
+	return storeErr(sys.Persist.Mark(uint64(id)))
 }
 
 // persistDelete records an object's deletion.
-func (sys *System) persistDelete(id kernel.ID) {
+func (sys *System) persistDelete(id kernel.ID) error {
 	if sys.Persist == nil {
-		return
+		return nil
 	}
-	_ = sys.Persist.Delete(uint64(id))
+	return storeErr(sys.Persist.Delete(uint64(id)))
 }
 
 // pageInFile models HiStar's whole-segment paging: the prototype "does not

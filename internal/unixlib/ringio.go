@@ -8,13 +8,13 @@ import (
 
 // Ring-driven multi-FD I/O: the second unixlib hot path converted to the
 // kernel's batched submission interface.  A server flushing many dirty files
-// used to pay, per file, a write syscall, a length syscall, a read-back
-// syscall, and — the expensive part — one write-ahead-log flush for the
-// fsync.  Here all files' kernel work goes through one ring batch (writes
-// and read-backs coalesce to one lock round-trip per file) and all fsyncs
-// are dispatched to the store as a single SyncObjects group, which the group
-// committer turns into dense log batches: one flush per
-// GroupCommitRecords-sized batch instead of one per file.
+// used to pay, per file, a write syscall and — the expensive part — one
+// write-ahead-log flush for the fsync.  Here all files' writes go through
+// one ring batch (same-file writes coalesce to one lock round-trip) and all
+// fsyncs are dispatched to the store as a single SyncObjects group, which
+// copies each file's segment once and has the group committer turn the
+// records into dense log batches: one flush per GroupCommitRecords-sized
+// batch instead of one per file.
 
 // WriteOp is one positional write of a writev/fsync fan-out.
 type WriteOp struct {
@@ -23,180 +23,109 @@ type WriteOp struct {
 	Data []byte
 }
 
-// PwritevFsync applies every write, persists each touched file, and makes
+// PwritevFsync applies every write, marks each touched file, and makes
 // them all durable with one group sync.  It returns the total bytes written.
 // Writes to the same file apply in op order (the ring keeps same-object
 // submission order); the first error is returned after all ops have been
 // attempted, matching the per-call loop it replaces.
 func (p *Process) PwritevFsync(ops []WriteOp) (int, error) {
-	if len(ops) == 0 {
-		return 0, nil
-	}
-	// Resolve descriptors and collect the distinct target files in
-	// first-appearance order.
-	files := make([]kernel.CEnt, 0, len(ops))
-	seen := make(map[kernel.ID]bool, len(ops))
-	targets := make([]kernel.CEnt, len(ops))
 	var firstErr error
-	for i, op := range ops {
+	keep := func(err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	// One ring batch of every write whose descriptor resolves; files
+	// collects the distinct targets in first-appearance order.
+	type write struct {
+		op   WriteOp
+		file kernel.CEnt
+	}
+	writes := make([]write, 0, len(ops)) // in completion order
+	var files []kernel.CEnt
+	seen := make(map[kernel.ID]bool, len(ops))
+	r := p.TC.NewRing()
+	for _, op := range ops {
 		fd, err := p.getFD(op.FD)
+		if err == nil && fd.File.Object == kernel.NilID {
+			err = ErrIsDir
+		}
 		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+			keep(err)
 			continue
 		}
-		if fd.File.Object == kernel.NilID {
-			if firstErr == nil {
-				firstErr = ErrIsDir
-			}
-			continue
-		}
-		targets[i] = fd.File
+		r.Submit(kernel.RingEntry{Op: kernel.OpSegmentWrite, Seg: fd.File, Off: int(op.Off), Data: op.Data})
+		writes = append(writes, write{op, fd.File})
 		if !seen[fd.File.Object] {
 			seen[fd.File.Object] = true
 			files = append(files, fd.File)
 		}
 	}
-
-	// One ring batch: every write, plus one whole-segment read-back per file
-	// for the persistence mirror.  Same-object entries execute in submission
-	// order, so each file's read-back sees all its writes.
-	r := p.TC.NewRing()
-	writeIdx := make([]int, len(ops)) // op -> completion index, -1 if unresolved
-	for i := range writeIdx {
-		writeIdx[i] = -1
-	}
-	n := 0
-	for i, op := range ops {
-		if targets[i].Object == kernel.NilID {
-			continue
-		}
-		r.Submit(kernel.RingEntry{
-			Op: kernel.OpSegmentWrite, Seg: targets[i], Off: int(op.Off), Data: op.Data,
-		})
-		writeIdx[i] = n
-		n++
-	}
-	readIdx := make(map[kernel.ID]int, len(files))
-	if p.sys.Persist != nil {
-		for _, f := range files {
-			r.Submit(kernel.RingEntry{Op: kernel.OpSegmentRead, Seg: f, Off: 0, Len: maxSegRead})
-			readIdx[f.Object] = n
-			n++
-		}
-	}
-	comps, err := r.Wait(n)
+	comps, err := r.Wait(len(writes))
 	if err != nil {
 		return 0, mapKernelErr(err)
 	}
 
 	// Settle the writes.  A quota failure falls back to the library's
 	// quota_move retry path, so ring submission keeps Pwrite's semantics for
-	// files that outgrow their slack; a fallback write invalidates the ring
-	// read-back (it ran before the retry), so those files re-mirror through
-	// persistFileAsync below.
+	// files that outgrow their slack.
 	total := 0
-	stale := make(map[kernel.ID]bool)
-	for i, op := range ops {
-		if writeIdx[i] < 0 {
-			continue
-		}
-		werr := comps[writeIdx[i]].Err
+	for i, w := range writes {
+		werr := mapKernelErr(comps[i].Err)
 		if errors.Is(werr, kernel.ErrQuota) {
-			werr = p.sys.segWrite(p.TC, targets[i], int(op.Off), op.Data)
-			stale[targets[i].Object] = true
-		} else {
-			werr = mapKernelErr(werr)
+			werr = p.sys.segWrite(p.TC, w.file, int(w.op.Off), w.op.Data)
 		}
-		if werr != nil {
-			if firstErr == nil {
-				firstErr = werr
-			}
-			continue
+		if werr == nil {
+			total += len(w.op.Data)
 		}
-		total += len(op.Data)
+		keep(werr)
 	}
 	for _, f := range files {
 		p.touchMtime(f)
+		keep(p.sys.markDirty(f.Object))
 	}
-	if p.sys.Persist == nil {
-		return total, firstErr
-	}
-	for _, f := range files {
-		if ci, ok := readIdx[f.Object]; ok && !stale[f.Object] && comps[ci].Err == nil {
-			_ = p.sys.Persist.Put(uint64(f.Object), comps[ci].Val)
-		} else {
-			p.sys.persistFileAsync(p.TC, f)
-		}
-	}
-
 	// One sync batch: the ring hands every file to the store as a single
 	// pre-formed group — at most ⌈files/GroupCommitRecords⌉ log flushes.
-	if err := p.sys.ringSyncFiles(p.TC, files); err != nil && firstErr == nil {
-		firstErr = err
-	}
+	keep(p.sys.ringSyncFiles(p.TC, files))
 	return total, firstErr
 }
 
-// FsyncMany is fsync over many descriptors at once: every file is mirrored
-// into the store (whole-segment ring reads, one batch) and committed as one
-// group sync.  fsync of a directory keeps its Checkpoint semantics.
+// FsyncMany is fsync over many descriptors at once: every file is committed
+// as one group sync.  fsync of a directory keeps its Checkpoint semantics.
 func (p *Process) FsyncMany(nums []int) error {
+	var firstErr error
+	keep := func(err error) {
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
 	var files []kernel.CEnt
 	seen := make(map[kernel.ID]bool, len(nums))
 	checkpoint := false
-	var firstErr error
 	for _, num := range nums {
 		fd, err := p.getFD(num)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if fd.File.Object == kernel.NilID {
+		switch {
+		case err != nil:
+			keep(err)
+		case fd.File.Object == kernel.NilID:
 			checkpoint = true
-			continue
-		}
-		if !seen[fd.File.Object] {
+		case !seen[fd.File.Object]:
 			seen[fd.File.Object] = true
 			files = append(files, fd.File)
 		}
 	}
-	if p.sys.Persist == nil {
-		return firstErr
-	}
-	if len(files) > 0 {
-		r := p.TC.NewRing()
-		for _, f := range files {
-			r.Submit(kernel.RingEntry{Op: kernel.OpSegmentRead, Seg: f, Off: 0, Len: maxSegRead})
-		}
-		comps, err := r.Wait(len(files))
-		if err != nil {
-			return mapKernelErr(err)
-		}
-		for i, f := range files {
-			if comps[i].Err == nil {
-				_ = p.sys.Persist.Put(uint64(f.Object), comps[i].Val)
-			}
-		}
-		if err := p.sys.ringSyncFiles(p.TC, files); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+	keep(p.sys.ringSyncFiles(p.TC, files))
 	if checkpoint {
 		// A directory among the descriptors checkpoints the whole system,
 		// after the per-file syncs so it also covers them.
-		if err := p.sys.SyncWholeSystem(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		keep(p.sys.SyncWholeSystem())
 	}
 	return firstErr
 }
 
-// ringSyncFiles commits the files' mirrored states durably through one ring
-// sync batch: a single SyncObjects group for the store's committer.
+// ringSyncFiles makes the files durable through one ring sync batch: a
+// single SyncObjects group, in which the store copies each file's current
+// segment and its committer logs them.  Every file fsync goes through here.
 func (sys *System) ringSyncFiles(tc *kernel.ThreadCall, files []kernel.CEnt) error {
 	if sys.Persist == nil || len(files) == 0 {
 		return nil

@@ -82,7 +82,8 @@ type dirSegShard struct {
 // BootOptions configure Boot.
 type BootOptions struct {
 	// Persist attaches a single-level store; file and directory segments are
-	// mirrored into it so fsync and checkpoint have their paper semantics.
+	// its objects, copied in from the kernel at fsync and checkpoint, so
+	// both have their paper semantics.
 	Persist *store.Store
 	// KernelConfig is passed through to kernel.New.
 	KernelConfig kernel.Config
@@ -124,6 +125,12 @@ func Boot(opts BootOptions) (*System, error) {
 				SegsCleaned:         ss.SegsCleaned,
 				SegsFreed:           ss.SegsFreed,
 			}
+		})
+		// The store copies a written object's segment in when it syncs or
+		// checkpoints, through a trusted read by object ID: a group sync by
+		// an untainted process must still capture files tainted ones wrote.
+		st.SetSource(func(id uint64) ([]byte, bool) {
+			return k.SegmentContents(kernel.ID(id))
 		})
 		// Container snapshots persist as refcounted store bundles; clones
 		// validate the bundle and record extent-sharing aliases.  The kernel
